@@ -176,129 +176,6 @@ void BM_ClosedLoopChurnReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedLoopChurnReference)->RangeMultiplier(2)->Range(16, 128);
 
-// Serial-vs-parallel sweeps of the sharded solver mode. Arg 0 is the
-// session count N of the single-bottleneck network, arg 1 the solver
-// thread count (0 = serial path). The nonlinear variant applies
-// RandomJoinExpected to every session, which makes the feasibleAt
-// bisection sweep over active links the dominant per-round cost — the
-// embarrassingly parallel work the pool shards. Wall-clock gains require
-// real cores: on a single-CPU host the threaded rows measure pure
-// coordination overhead (see scripts/check_bench.py notes).
-void BM_ParallelNonlinearBottleneck(benchmark::State& state) {
-  const auto sessions = static_cast<std::size_t>(state.range(0));
-  auto n = net::singleBottleneckNetwork(sessions, sessions / 10, 1000.0,
-                                        2.0);
-  const auto fn = std::make_shared<const net::RandomJoinExpected>(1e4);
-  for (std::size_t i = 0; i < n.sessionCount(); ++i) {
-    n = n.withLinkRateFunction(i, fn);
-  }
-  fairness::MaxMinOptions options;
-  options.threads = static_cast<int>(state.range(1));
-  fairness::MaxMinSolver solver(options);
-  solver.bind(n);
-  benchmark::DoNotOptimize(solver.solve());  // warm-up: workspace + pool
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solveAllocation());
-  }
-}
-BENCHMARK(BM_ParallelNonlinearBottleneck)
-    ->Args({640, 0})
-    ->Args({640, 2})
-    ->Args({640, 4})
-    ->Args({4096, 0})
-    ->Args({4096, 2})
-    ->Args({4096, 4})
-    ->Args({4096, 8});
-
-// The single-bottleneck topology above is the honest worst case for
-// sharding: one link holds every receiver, so its sweep cost is
-// unsplittable (Amdahl-bound regardless of cores). This farm is the
-// parallel-friendly counterpart — N receivers spread over N/4 bottleneck
-// links (4-receiver multicast session per link, nonlinear v_i), so the
-// load-aware chunking has many comparably-loaded links to balance.
-net::Network nonlinearBottleneckFarm(std::size_t sessions) {
-  net::Network n;
-  const auto fn = std::make_shared<const net::RandomJoinExpected>(1e4);
-  std::vector<graph::LinkId> links;
-  for (std::size_t i = 0; i < sessions; ++i) {
-    links.push_back(n.addLink(1000.0));
-  }
-  for (std::size_t i = 0; i < sessions; ++i) {
-    net::Session s;
-    s.name = "F" + std::to_string(i);
-    s.type = net::SessionType::kMultiRate;
-    for (std::size_t k = 0; k < 4; ++k) {
-      s.receivers.push_back(net::makeReceiver({links[i]}));
-    }
-    s.linkRateFn = fn;
-    n.addSession(std::move(s));
-  }
-  return n;
-}
-
-void BM_ParallelNonlinearFarm(benchmark::State& state) {
-  const auto n =
-      nonlinearBottleneckFarm(static_cast<std::size_t>(state.range(0)));
-  fairness::MaxMinOptions options;
-  options.threads = static_cast<int>(state.range(1));
-  fairness::MaxMinSolver solver(options);
-  solver.bind(n);
-  benchmark::DoNotOptimize(solver.solve());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solveAllocation());
-  }
-}
-BENCHMARK(BM_ParallelNonlinearFarm)
-    ->Args({640, 0})
-    ->Args({640, 2})
-    ->Args({640, 4})
-    ->Args({4096, 0})
-    ->Args({4096, 2})
-    ->Args({4096, 4})
-    ->Args({4096, 8});
-
-// Linear-v_i twin: here the sharded work is the per-link accumulator
-// reset and the O(1)-per-link saturation scan.
-void BM_ParallelLinearBottleneck(benchmark::State& state) {
-  const auto sessions = static_cast<std::size_t>(state.range(0));
-  const auto n = net::singleBottleneckNetwork(sessions, sessions / 10,
-                                              1000.0, 2.0);
-  fairness::MaxMinOptions options;
-  options.threads = static_cast<int>(state.range(1));
-  fairness::MaxMinSolver solver(options);
-  solver.bind(n);
-  benchmark::DoNotOptimize(solver.solve());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solveAllocation());
-  }
-}
-BENCHMARK(BM_ParallelLinearBottleneck)
-    ->Args({640, 0})
-    ->Args({640, 4})
-    ->Args({4096, 0})
-    ->Args({4096, 4});
-
-// Churn with the parallel solver: same variant cycle as
-// BM_ClosedLoopChurn, re-solving through one persistent threaded solver.
-void BM_ParallelChurn(benchmark::State& state) {
-  const auto variants =
-      churnVariants(static_cast<std::size_t>(state.range(0)));
-  fairness::MaxMinOptions options;
-  options.threads = static_cast<int>(state.range(1));
-  fairness::MaxMinSolver solver(options);
-  std::size_t next = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solveAllocation(variants[next]));
-    next = (next + 1) % variants.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ParallelChurn)
-    ->Args({64, 0})
-    ->Args({64, 4})
-    ->Args({128, 0})
-    ->Args({128, 4});
-
 // The fair-epoch timeline of the closed-loop simulator: session arrivals
 // and departures create one re-solve per epoch.
 void BM_FairEpochTimeline(benchmark::State& state) {

@@ -225,11 +225,10 @@ BENCHMARK(BM_FluidHandback)
 // Component-parallel engine on the sharded-bottlenecks preset (64
 // disjoint bottleneck groups -> 64 independent components). The second
 // arg is the thread count: 0 runs the serial event engine on the same
-// scenario as the baseline row (matching the solver's BM_Parallel*/0
-// convention), T >= 1 runs the partitioned engine with engineThreads=T
-// (T=1 measures pure partition/lane overhead). On a 1-CPU container the
-// threaded rows measure coordination overhead, not speedup — see
-// docs/BENCHMARKS.md. Items = sessions per run.
+// scenario as the baseline row, T >= 1 runs the partitioned engine with
+// engineThreads=T (T=1 measures pure partition/lane overhead). On a
+// 1-CPU container the threaded rows measure coordination overhead, not
+// speedup — see docs/BENCHMARKS.md. Items = sessions per run.
 sim::Scenario shardedScenario(std::size_t sessions) {
   const sim::ScenarioSpec* base = sim::findScenario("sharded-bottlenecks");
   MCFAIR_REQUIRE(base != nullptr,

@@ -2,7 +2,7 @@
 # Captures the benchmark baselines (google-benchmark JSON format) at the
 # repository root:
 #   BENCH_maxmin.json — the max-min solver: incremental engine vs the
-#     retained reference solver, plus the serial-vs-parallel sweeps.
+#     retained reference solver.
 #   BENCH_sim.json — the closed-loop simulator: event-driven session
 #     engine vs the retained linear-scan driver (packet-merge scaling).
 # Each run records engine and reference side by side, so the perf
@@ -31,7 +31,7 @@ if [ ! -x "$build_dir/bench_perf_maxmin" ] || \
 fi
 
 "$build_dir/bench_perf_maxmin" \
-  --benchmark_filter='BM_SingleBottleneckScaling|BM_ClosedLoopChurn|BM_BoundSolverResolve|BM_Parallel|BM_AccumScan|BM_SampledSolve|BM_SweepFleet|BM_Service|BM_SnapshotReplay' \
+  --benchmark_filter='BM_SingleBottleneckScaling|BM_ClosedLoopChurn|BM_BoundSolverResolve|BM_AccumScan|BM_SampledSolve|BM_SweepFleet|BM_Service|BM_SnapshotReplay' \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json \
   --benchmark_out="$out_file" \
@@ -71,20 +71,6 @@ for name, (t, unit) in sorted(times.items()):
         continue
     print(f"{name:<44}{t:>10.0f}{unit}{ref[0]:>10.0f}{ref[1]}"
           f"{ref[0] / t:>8.1f}x")
-print()
-print(f"{'parallel benchmark':<44}{'threads':>12}{'serial':>12}{'speedup':>9}")
-for name, (t, unit) in sorted(times.items()):
-    if "BM_Parallel" not in name:
-        continue
-    base, _, threads = name.rpartition("/")
-    if threads == "0":
-        continue
-    serial = times.get(f"{base}/0")
-    if serial is None:
-        continue
-    print(f"{name:<44}{t:>10.0f}{unit}{serial[0]:>10.0f}{serial[1]}"
-          f"{serial[0] / t:>8.2f}x")
-
 print()
 print(f"{'sampled/sweep benchmark':<44}{'time':>12}")
 for name, (t, unit) in sorted(times.items()):
@@ -142,8 +128,6 @@ for name, (t, unit) in sorted(sim.items()):
 print()
 print(f"{'parallel engine benchmark':<44}{'threads':>12}{'serial':>12}{'speedup':>9}")
 for name, (t, unit) in sorted(sim.items()):
-    # Note: the solver summary's "BM_Parallel" filter above reads the
-    # maxmin file, so BM_ClosedLoopParallel rows cannot leak into it.
     if not name.startswith("BM_ClosedLoopParallel/"):
         continue
     base, _, threads = name.rpartition("/")

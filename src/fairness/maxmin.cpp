@@ -1,13 +1,11 @@
 #include "fairness/maxmin.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mcfair::fairness {
 
@@ -437,27 +435,6 @@ struct MaxMinSolver::Engine {
   std::vector<double> gather;  // rate-set scratch for v_i calls
   bool usageZeroed = false;    // usage rows hold only stale group cells
 
-  // ---- parallel mode ----
-  // Resolved executor count (0/1 = serial) and the reusable pool. The
-  // sharded sweeps split a work list (activeLinks or dirtyLinks) into
-  // `threads` contiguous ranges; each range writes only per-shard scratch
-  // (shardGather for v_i gathers, shardSat for saturation candidates) or
-  // per-link slots, and shard outputs merge in list order afterwards —
-  // which is what makes the parallel path bit-identical to the serial
-  // one. Boundaries are load-aware: ranges are cut so each shard carries
-  // an equal share of summed per-link cost (1 + receivers on the link),
-  // which balances the bottleneck-heavy links of scale-free topologies.
-  std::size_t threads = 0;
-  std::unique_ptr<util::ThreadPool> pool;
-  std::vector<std::size_t> shardBounds;            // threads + 1 slots
-  std::vector<std::vector<double>> shardGather;    // one per shard
-  std::vector<std::vector<std::uint32_t>> shardSat;
-  // Group-farm scratch for the single-bottleneck feasibility probe (see
-  // solve()): the active links' group ids in list order, and the
-  // per-group usage values the serial per-link reduction consumes.
-  std::vector<std::uint32_t> farmGroups;
-  std::vector<double> farmUsage;
-
   std::optional<MaxMinResult> result;
 
   static constexpr std::uint32_t kNoPos =
@@ -473,89 +450,19 @@ struct MaxMinSolver::Engine {
   void refreshCapacities(const net::Network& network,
                          const MaxMinOptions& options);
   void writeUsage();
-  void resetDynamicState(const MaxMinOptions& options);
+  void resetDynamicState();
   void freeze(std::uint32_t f, double frozenRate);
-  void flushDirtyLinks(const MaxMinOptions& options);
+  void flushDirtyLinks();
   void heapPush(std::uint32_t j);
   double heapMinKey();
   double nextSigmaMin();
   double nextCapMin();
   // v_i evaluation of one group at `lv`, frozen rates first (matching the
   // reference's gather order so nonlinear v_i see identical inputs).
-  double groupUsageAt(const Group& g, double lv, std::vector<double>& rs);
-  double linkUsageFullAt(std::uint32_t j, double lv,
-                         std::vector<double>& rs);
-  // Load model for the sharded sweeps: per-link cost ~ 1 + receivers on
-  // the link (gather/eval work scales with adjacency size).
-  double linkSweepCost(std::uint32_t j) const {
-    return 1.0 + static_cast<double>(adjBegin[j + 1] - adjBegin[j]);
-  }
-  void recomputeLink(std::uint32_t j, std::vector<double>& rs);
-  // Partitions [0, n) into load-balanced contiguous shards (boundaries
-  // land in shardBounds) and returns the shard count: 1 when the pool is
-  // absent or n is below the grain. `costAt(idx)` weights the load-aware
-  // boundaries. The plan stays valid until the next plan, so sweeps that
-  // repeat over an unchanged work list (the bisection probes of one
-  // round) plan once and run many times.
-  template <typename Cost>
-  std::size_t planShards(std::size_t n, const MaxMinOptions& options,
-                         Cost&& costAt);
-  // Runs body(shard, begin, end) over the planned partition; a 1-shard
-  // plan runs inline on the calling thread. Shard outputs must be merged
-  // by the caller in ascending shard order.
-  template <typename Body>
-  void runPlanned(std::size_t shards, std::size_t n, Body&& body);
-  // planShards + runPlanned for one-shot sweeps.
-  template <typename Cost, typename Body>
-  std::size_t shardedSweep(std::size_t n, const MaxMinOptions& options,
-                           Cost&& costAt, Body&& body);
+  double groupUsageAt(const Group& g, double lv);
+  double linkUsageFullAt(std::uint32_t j, double lv);
+  void recomputeLink(std::uint32_t j);
 };
-
-template <typename Cost>
-std::size_t MaxMinSolver::Engine::planShards(std::size_t n,
-                                             const MaxMinOptions& options,
-                                             Cost&& costAt) {
-  if (threads <= 1 || pool == nullptr || n < options.parallelGrain ||
-      n < 2) {
-    return 1;
-  }
-  const std::size_t shards = std::min(threads, n);
-  double total = 0.0;
-  for (std::size_t idx = 0; idx < n; ++idx) total += costAt(idx);
-  shardBounds[0] = 0;
-  std::size_t cut = 0;
-  double acc = 0.0;
-  for (std::size_t idx = 0; idx < n && cut + 1 < shards; ++idx) {
-    acc += costAt(idx);
-    while (cut + 1 < shards &&
-           acc >= total * static_cast<double>(cut + 1) /
-                      static_cast<double>(shards)) {
-      shardBounds[++cut] = idx + 1;
-    }
-  }
-  while (cut < shards) shardBounds[++cut] = n;
-  return shards;
-}
-
-template <typename Body>
-void MaxMinSolver::Engine::runPlanned(std::size_t shards, std::size_t n,
-                                      Body&& body) {
-  if (shards <= 1) {
-    body(std::size_t{0}, std::size_t{0}, n);
-    return;
-  }
-  auto task = [&](std::size_t s) { body(s, shardBounds[s], shardBounds[s + 1]); };
-  pool->forEachShard(shards, util::ShardFnRef(task));
-}
-
-template <typename Cost, typename Body>
-std::size_t MaxMinSolver::Engine::shardedSweep(std::size_t n,
-                                               const MaxMinOptions& options,
-                                               Cost&& costAt, Body&& body) {
-  const std::size_t shards = planShards(n, options, costAt);
-  runPlanned(shards, n, body);
-  return shards;
-}
 
 void MaxMinSolver::Engine::bind(const net::Network& network,
                                 const MaxMinOptions& options) {
@@ -818,23 +725,6 @@ void MaxMinSolver::Engine::bind(const net::Network& network,
   pendingSingle.reserve(nSessions);
   singleQueued.resize(nSessions);
   gather.reserve(maxGroupSize);
-  farmGroups.reserve(groups.size());
-  farmUsage.resize(groups.size());
-  // Per-shard scratch (slot 0 doubles as the serial single-shard slot):
-  // sized here so the sharded sweeps never allocate inside solve().
-  const std::size_t shardSlots = std::max<std::size_t>(threads, 1);
-  shardBounds.resize(threads + 1);
-  shardGather.resize(shardSlots);
-  for (auto& rs : shardGather) rs.reserve(maxGroupSize);
-  shardSat.resize(shardSlots);
-  for (auto& out : shardSat) out.reserve(nLinks);
-  // Spawn the pool lazily, and only for networks whose sweep lists can
-  // actually reach the sharding grain: transient solvers on small
-  // networks (and thread_local cached ones that never see a big bind)
-  // then never pay for threads-1 idle OS threads.
-  if (threads > 1 && pool == nullptr && nLinks >= options.parallelGrain) {
-    pool = std::make_unique<util::ThreadPool>(threads);
-  }
 
   // Reuse the result object when the shape matches; otherwise rebuild.
   bool shapeMatches = result.has_value() &&
@@ -880,7 +770,7 @@ void MaxMinSolver::Engine::refreshCapacities(const net::Network& network,
   boundIdentity = network.identity();
 }
 
-void MaxMinSolver::Engine::resetDynamicState(const MaxMinOptions& options) {
+void MaxMinSolver::Engine::resetDynamicState() {
   std::fill(frozen.begin(), frozen.end(), char{0});
   std::fill(rate.begin(), rate.end(), 0.0);
   std::fill(linkVersion.begin(), linkVersion.end(), 0u);
@@ -913,20 +803,12 @@ void MaxMinSolver::Engine::resetDynamicState(const MaxMinOptions& options) {
       linkNonlinear[j] = 0;
     }
   }
-  // Initial accumulator scan, sharded across the pool: each link's
-  // (const, slope, nonlinear) triple is written by exactly one shard.
-  shardedSweep(
-      activeLinks.size(), options,
-      [&](std::size_t idx) { return linkSweepCost(activeLinks[idx]); },
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        std::vector<double>& rs = shardGather[shard];
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          recomputeLink(activeLinks[idx], rs);
-        }
-      });
-  // Serial merge: saturation-level candidates enter the lazy min-heap in
-  // active-list order, exactly as the serial path pushes them.
-  for (const std::uint32_t j : activeLinks) heapPush(j);
+  // Initial accumulator scan; saturation-level candidates enter the lazy
+  // min-heap in active-list order.
+  for (const std::uint32_t j : activeLinks) {
+    recomputeLink(j);
+    heapPush(j);
+  }
   activeReceivers = nReceivers;
   sigmaPtr = 0;
   sigmaSlackPtr = 0;
@@ -935,31 +817,28 @@ void MaxMinSolver::Engine::resetDynamicState(const MaxMinOptions& options) {
   level = 0.0;
 }
 
-double MaxMinSolver::Engine::groupUsageAt(const Group& g, double lv,
-                                          std::vector<double>& rs) {
-  rs.clear();
+double MaxMinSolver::Engine::groupUsageAt(const Group& g, double lv) {
+  gather.clear();
   for (std::size_t s = g.begin; s < g.end; ++s) {
     const std::uint32_t f = adj[s];
-    if (frozen[f]) rs.push_back(rate[f]);
+    if (frozen[f]) gather.push_back(rate[f]);
   }
   for (std::size_t s = g.begin; s < g.end; ++s) {
     const std::uint32_t f = adj[s];
-    if (!frozen[f]) rs.push_back(weight[f] * lv);
+    if (!frozen[f]) gather.push_back(weight[f] * lv);
   }
-  return net->session(g.session).linkRateFn->linkRate(rs);
+  return net->session(g.session).linkRateFn->linkRate(gather);
 }
 
-double MaxMinSolver::Engine::linkUsageFullAt(std::uint32_t j, double lv,
-                                             std::vector<double>& rs) {
+double MaxMinSolver::Engine::linkUsageFullAt(std::uint32_t j, double lv) {
   double u = 0.0;
   for (std::size_t gi = groupBegin[j]; gi < groupBegin[j + 1]; ++gi) {
-    u += groupUsageAt(groups[gi], lv, rs);
+    u += groupUsageAt(groups[gi], lv);
   }
   return u;
 }
 
-void MaxMinSolver::Engine::recomputeLink(std::uint32_t j,
-                                         std::vector<double>& rs) {
+void MaxMinSolver::Engine::recomputeLink(std::uint32_t j) {
   double constPart = 0.0;
   double slopeSum = 0.0;
   bool nonlinear = false;
@@ -974,19 +853,18 @@ void MaxMinSolver::Engine::recomputeLink(std::uint32_t j,
     } else {
       // Fully frozen group: contributes a constant v_i of its frozen
       // rates (gathered in adjacency order, like the reference).
-      rs.clear();
+      gather.clear();
       for (std::size_t s = g.begin; s < g.end; ++s) {
-        rs.push_back(rate[adj[s]]);
+        gather.push_back(rate[adj[s]]);
       }
-      constPart += net->session(g.session).linkRateFn->linkRate(rs);
+      constPart += net->session(g.session).linkRateFn->linkRate(gather);
     }
   }
   linkConst[j] = constPart;
   linkSlope[j] = slopeSum;
   linkNonlinear[j] = nonlinear ? 1 : 0;
   // Scatter into the dense scan mirrors (every link recomputed here is
-  // in the active list; shard-safe — each dirty link is recomputed by
-  // exactly one shard and owns its slot).
+  // in the active list).
   const std::uint32_t pos = activeLinkPos[j];
   denseConst[pos] = constPart;
   denseSlope[pos] = slopeSum;
@@ -1073,24 +951,13 @@ void MaxMinSolver::Engine::freeze(std::uint32_t f, double frozenRate) {
   }
 }
 
-void MaxMinSolver::Engine::flushDirtyLinks(const MaxMinOptions& options) {
-  // Accumulator recompute of the dirtied links, sharded (each dirty link
-  // appears once, so its slots are written by exactly one shard)...
-  shardedSweep(
-      dirtyLinks.size(), options,
-      [&](std::size_t idx) { return linkSweepCost(dirtyLinks[idx]); },
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        std::vector<double>& rs = shardGather[shard];
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::uint32_t j = dirtyLinks[idx];
-          if (linkActive[j] > 0) recomputeLink(j, rs);
-        }
-      });
-  // ...then a serial merge of the fresh saturation-level candidates into
-  // the global lazy min-heap, in dirty order (the serial push sequence).
+void MaxMinSolver::Engine::flushDirtyLinks() {
+  // Recompute the dirtied links' accumulators and push their fresh
+  // saturation-level candidates into the lazy min-heap, in dirty order.
   for (const std::uint32_t j : dirtyLinks) {
     linkDirty[j] = 0;
     if (linkActive[j] == 0) continue;  // no longer constrains the filling
+    recomputeLink(j);
     ++linkVersion[j];
     heapPush(j);
   }
@@ -1137,7 +1004,7 @@ const MaxMinResult& MaxMinSolver::Engine::solve(const MaxMinOptions& options,
     return out;
   }
 
-  resetDynamicState(options);
+  resetDynamicState();
   const std::size_t maxRounds = nReceivers + 2;
 
   while (true) {
@@ -1150,7 +1017,7 @@ const MaxMinResult& MaxMinSolver::Engine::solve(const MaxMinOptions& options,
         ++sigmaPtr;
       }
     }
-    flushDirtyLinks(options);
+    flushDirtyLinks();
     if (activeReceivers == 0) break;
     if (++out.rounds > maxRounds) {
       throw NumericError(
@@ -1171,95 +1038,14 @@ const MaxMinResult& MaxMinSolver::Engine::solve(const MaxMinOptions& options,
       // the active links only.
       double hi = std::min(nextSigmaMin(), nextCapMin()) - level;
       hi = std::max(hi, 0.0);
-      // Single-bottleneck farm detection: link-granular shards treat
-      // each link as indivisible, so one heavy bottleneck (a mega-merge
-      // shape — thousands of receiver groups on a single link) caps the
-      // speedup at ~2x no matter the thread count. When one link
-      // carries at least half the sweep cost, farm the GROUP list
-      // instead: every active link's groups, in active-list order, cut
-      // by per-group cost — which splits the heavy link's receiver
-      // range across shards.
-      double sweepTotal = 0.0;
-      double sweepMax = 0.0;
-      for (const std::uint32_t j : activeLinks) {
-        const double c = linkSweepCost(j);
-        sweepTotal += c;
-        sweepMax = std::max(sweepMax, c);
-      }
-      bool farm = threads > 1 && pool != nullptr &&
-                  sweepMax * 2.0 >= sweepTotal;
-      std::size_t farmShards = 1;
-      if (farm) {
-        farmGroups.clear();
-        for (const std::uint32_t j : activeLinks) {
-          for (std::size_t gi = groupBegin[j]; gi < groupBegin[j + 1];
-               ++gi) {
-            farmGroups.push_back(static_cast<std::uint32_t>(gi));
-          }
-        }
-        farmShards =
-            planShards(farmGroups.size(), options, [&](std::size_t idx) {
-              const Group& g = groups[farmGroups[idx]];
-              return 1.0 + static_cast<double>(g.end - g.begin);
-            });
-        farm = farmShards > 1;
-      }
-      // Sharded feasibility sweep: shards combine by AND (one crossing
-      // link anywhere makes the level infeasible), so claim order cannot
-      // affect the verdict; the `infeasible` flag doubles as an early-out
-      // hint for the other shards. activeLinks and the per-link costs are
-      // fixed for the whole round, so the partition is planned once here
-      // and reused by every bisection probe. (The farm plan, when
-      // engaged, owns shardBounds instead — only one plan is live.)
-      const std::size_t feasibilityShards =
-          farm ? 1
-               : planShards(activeLinks.size(), options,
-                            [&](std::size_t idx) {
-                              return linkSweepCost(activeLinks[idx]);
-                            });
       auto feasibleAt = [&](double d) {
         const double lv = level + d;
-        if (farm) {
-          // Evaluate every group independently (disjoint farmUsage
-          // slots; groupUsageAt is side-effect-free), then reduce each
-          // link serially in ascending group order — the exact
-          // left-to-right association linkUsageFullAt uses, so the
-          // verdict is bit-identical to the serial probe.
-          runPlanned(
-              farmShards, farmGroups.size(),
-              [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                std::vector<double>& rs = shardGather[shard];
-                for (std::size_t idx = begin; idx < end; ++idx) {
-                  const std::uint32_t gi = farmGroups[idx];
-                  farmUsage[gi] = groupUsageAt(groups[gi], lv, rs);
-                }
-              });
-          for (const std::uint32_t j : activeLinks) {
-            double u = 0.0;
-            for (std::size_t gi = groupBegin[j]; gi < groupBegin[j + 1];
-                 ++gi) {
-              u += farmUsage[gi];
-            }
-            if (u > capacity[j] + bisectSlack[j]) return false;
+        for (const std::uint32_t j : activeLinks) {
+          if (linkUsageFullAt(j, lv) > capacity[j] + bisectSlack[j]) {
+            return false;
           }
-          return true;
         }
-        std::atomic<bool> infeasible{false};
-        runPlanned(
-            feasibilityShards, activeLinks.size(),
-            [&](std::size_t shard, std::size_t begin, std::size_t end) {
-              std::vector<double>& rs = shardGather[shard];
-              for (std::size_t idx = begin; idx < end; ++idx) {
-                if (infeasible.load(std::memory_order_relaxed)) return;
-                const std::uint32_t j = activeLinks[idx];
-                if (linkUsageFullAt(j, lv, rs) >
-                    capacity[j] + bisectSlack[j]) {
-                  infeasible.store(true, std::memory_order_relaxed);
-                  return;
-                }
-              }
-            });
-        return !infeasible.load(std::memory_order_relaxed);
+        return true;
       };
       if (hi == 0.0 || feasibleAt(hi)) {
         delta = hi;
@@ -1280,55 +1066,33 @@ const MaxMinResult& MaxMinSolver::Engine::solve(const MaxMinOptions& options,
     frozenThisRound = 0;
 
     // Saturation snapshot over active links, taken before any freezing so
-    // it reflects the same state the reference evaluates. Shards collect
-    // their candidates into per-shard buffers; concatenating those in
-    // shard order reproduces the serial scan order exactly (shards are
-    // contiguous ranges of the active list).
-    satLinks.clear();
-    std::size_t usedShards;
+    // it reflects the same state the reference evaluates.
     if (linear) {
       // Flat sweep over the dense mirrors: three contiguous loads, one
       // fused compare, and a branchless compaction (store the candidate
       // unconditionally, advance the cursor by the comparison result).
       // No gather through activeLinks, no branch in the loop body — the
       // compiler can vectorize the whole scan.
-      usedShards = shardedSweep(
-          activeLinks.size(), options, [](std::size_t) { return 1.0; },
-          [&](std::size_t shard, std::size_t begin, std::size_t end) {
-            std::vector<std::uint32_t>& out = shardSat[shard];
-            out.resize(end - begin);  // within bind()-reserved capacity
-            const double lv = level;
-            const double* cst = denseConst.data();
-            const double* slp = denseSlope.data();
-            const double* thr = denseThresh.data();
-            const std::uint32_t* lk = activeLinks.data();
-            std::uint32_t* dst = out.data();
-            std::size_t count = 0;
-            for (std::size_t idx = begin; idx < end; ++idx) {
-              dst[count] = lk[idx];
-              count += static_cast<std::size_t>(
-                  cst[idx] + slp[idx] * lv >= thr[idx]);
-            }
-            out.resize(count);
-          });
+      const std::size_t n = activeLinks.size();
+      satLinks.resize(n);  // within bind()-reserved capacity
+      const double lv = level;
+      const double* cst = denseConst.data();
+      const double* slp = denseSlope.data();
+      const double* thr = denseThresh.data();
+      const std::uint32_t* lk = activeLinks.data();
+      std::uint32_t* dst = satLinks.data();
+      std::size_t count = 0;
+      for (std::size_t idx = 0; idx < n; ++idx) {
+        dst[count] = lk[idx];
+        count += static_cast<std::size_t>(cst[idx] + slp[idx] * lv >=
+                                          thr[idx]);
+      }
+      satLinks.resize(count);
     } else {
-      usedShards = shardedSweep(
-          activeLinks.size(), options,
-          [&](std::size_t idx) { return linkSweepCost(activeLinks[idx]); },
-          [&](std::size_t shard, std::size_t begin, std::size_t end) {
-            std::vector<double>& rs = shardGather[shard];
-            std::vector<std::uint32_t>& out = shardSat[shard];
-            out.clear();
-            for (std::size_t idx = begin; idx < end; ++idx) {
-              const std::uint32_t j = activeLinks[idx];
-              if (linkUsageFullAt(j, level, rs) >= satThreshold[j]) {
-                out.push_back(j);
-              }
-            }
-          });
-    }
-    for (std::size_t s = 0; s < usedShards; ++s) {
-      satLinks.insert(satLinks.end(), shardSat[s].begin(), shardSat[s].end());
+      satLinks.clear();
+      for (const std::uint32_t j : activeLinks) {
+        if (linkUsageFullAt(j, level) >= satThreshold[j]) satLinks.push_back(j);
+      }
     }
 
     // Receivers within saturation slack of sigma freeze at sigma (takes
@@ -1365,7 +1129,7 @@ const MaxMinResult& MaxMinSolver::Engine::solve(const MaxMinOptions& options,
       for (std::uint32_t j = 0; j < nLinks; ++j) {
         if (linkActive[j] == 0) continue;
         const double headroom =
-            capacity[j] - linkUsageFullAt(j, level, gather);
+            capacity[j] - linkUsageFullAt(j, level);
         if (-headroom > worst) {
           worst = -headroom;
           worstLink = j;
@@ -1404,15 +1168,6 @@ const MaxMinResult& MaxMinSolver::Engine::solve(const MaxMinOptions& options,
 MaxMinSolver::MaxMinSolver(MaxMinOptions options)
     : options_(options), engine_(std::make_unique<Engine>()) {
   MCFAIR_REQUIRE(options_.tolerance > 0.0, "tolerance must be positive");
-  const std::size_t resolved =
-      options_.threads < 0
-          ? util::ThreadPool::threadCountFromEnv("MCFAIR_THREADS")
-          : std::min<std::size_t>(
-                static_cast<std::size_t>(options_.threads), 256);
-  engine_->threads = resolved;
-  // The pool itself is spawned lazily by bind() (first network that can
-  // shard) and then lives for the solver's lifetime; per-solve submits
-  // are allocation-free.
 }
 
 MaxMinSolver::~MaxMinSolver() = default;
@@ -1424,10 +1179,6 @@ void MaxMinSolver::bind(const net::Network& net) {
 }
 
 bool MaxMinSolver::bound() const noexcept { return engine_->net != nullptr; }
-
-std::size_t MaxMinSolver::threadCount() const noexcept {
-  return engine_->threads;
-}
 
 namespace {
 
@@ -1528,8 +1279,6 @@ auto withThreadLocalSolver(const net::Network& net,
       options.tolerance != cached.tolerance ||
       options.saturationSlack != cached.saturationSlack ||
       options.maxBisectionSteps != cached.maxBisectionSteps ||
-      options.threads != cached.threads ||
-      options.parallelGrain != cached.parallelGrain ||
       options.validate.resolve() != cached.validate.resolve() ||
       options.validate.solverOptimality !=
           cached.validate.solverOptimality) {

@@ -52,23 +52,6 @@ struct MaxMinOptions {
   double saturationSlack = 1e-7;
   /// Hard cap on bisection iterations per round.
   std::size_t maxBisectionSteps = 200;
-  /// Worker threads for the per-link sweeps of large solves (the linear
-  /// accumulator/saturation scan and the nonlinear feasibleAt bisection).
-  /// 0 or 1 = serial; -1 (default) = read the MCFAIR_THREADS environment
-  /// variable (unset/invalid -> serial). With T > 1 the solver owns a
-  /// reusable util::ThreadPool of T executors (spawned lazily at bind()
-  /// once a network is large enough to ever shard) and splits the
-  /// active-link set across them with load-aware contiguous chunking.
-  /// Results are bit-identical to the serial path: every per-link
-  /// computation is the same arithmetic, and all shard outputs merge in
-  /// active-list order. Custom LinkRateFunction implementations must
-  /// tolerate concurrent linkRate() calls in this mode (see
-  /// net/link_rate.hpp); all shipped functions do.
-  int threads = -1;
-  /// Minimum active-link count before a sweep is sharded; below it the
-  /// sweep runs single-shard on the calling thread. Tuning/testing knob
-  /// (tests set 1 to force sharding on small networks).
-  std::size_t parallelGrain = 64;
   /// Paranoid cross-checking (see util/validate.hpp): when resolved on,
   /// every solve() re-runs the reference oracle on the bound network and
   /// throws NumericError if the incremental rates deviate beyond the
@@ -114,10 +97,7 @@ MaxMinResult solveMaxMinFairReference(const net::Network& net,
 /// bind() captures a raw pointer to the network: the network must outlive
 /// the binding and must not be mutated between bind() and solve(). After
 /// the first solve on a given shape, subsequent solves reuse every buffer
-/// — the steady-state filling loop performs zero heap allocations. This
-/// holds in parallel mode too: the worker pool and all per-shard scratch
-/// are built once (construction/bind), so threaded steady-state re-solves
-/// also allocate nothing.
+/// — the steady-state filling loop performs zero heap allocations.
 class MaxMinSolver {
  public:
   explicit MaxMinSolver(MaxMinOptions options = {});
@@ -157,9 +137,8 @@ class MaxMinSolver {
 
   const MaxMinOptions& options() const noexcept { return options_; }
 
-  /// Resolved executor count for the sharded sweeps (after applying the
-  /// MCFAIR_THREADS fallback): 0 or 1 means serial.
-  std::size_t threadCount() const noexcept;
+  /// Always 0: the solver is serial.
+  std::size_t threadCount() const noexcept { return 0; }
 
  private:
   struct Engine;

@@ -26,10 +26,12 @@ class LinkRateFunction {
   /// Bandwidth used on a link by a session whose receivers crossing that
   /// link have the given rates. `rates` is non-empty; all entries >= 0.
   /// Implementations must be safe for concurrent linkRate() calls
-  /// (stateless, or internally synchronized): the solver's parallel mode
-  /// (fairness::MaxMinOptions::threads / MCFAIR_THREADS) evaluates v_i
-  /// from multiple worker threads. Every function shipped here is
-  /// immutable after construction and trivially satisfies this.
+  /// (stateless, or internally synchronized): one instance is shared by
+  /// every network that uses it, and those networks may be solved on
+  /// several threads at once — sim::SweepDriver's grid cells run on
+  /// worker-pool executors, and solveMaxMinFair keeps one solver per
+  /// calling thread. Every function shipped here is immutable after
+  /// construction and trivially satisfies this.
   virtual double linkRate(std::span<const double> rates) const = 0;
 
   /// The redundancy of the function for a given rate set:

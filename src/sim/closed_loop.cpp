@@ -83,8 +83,7 @@ class TokenBucket {
 // effective link capacities are both constant, so one max-min solve per
 // epoch suffices. A single MaxMinSolver is reused across the epochs,
 // which is exactly the churn workload its incremental workspace is
-// built for — and the one worker pool it owns (when solverThreads
-// enables the parallel sweeps) rides along for every epoch.
+// built for.
 //
 // Fault semantics: an epoch's link capacities are base * factor of the
 // last fault event at or before the epoch's start. A receiver whose
@@ -120,7 +119,6 @@ std::vector<FairEpoch> buildFairEpochs(
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
   fairness::MaxMinOptions solverOptions;
-  solverOptions.threads = config.solverThreads;
   solverOptions.validate = config.validate;
   fairness::MaxMinSolver solver(solverOptions);
   std::vector<double> factor(network.linkCount(), 1.0);

@@ -125,11 +125,6 @@ struct ClosedLoopConfig {
   /// every session start/stop boundary (one incremental-solver re-solve
   /// per epoch) and returned in ClosedLoopResult::fairEpochs.
   bool computeFairEpochs = false;
-  /// Thread count for the fair-epoch solver's sharded per-link sweeps,
-  /// forwarded to fairness::MaxMinOptions::threads: 0/1 = serial,
-  /// -1 (default) = MCFAIR_THREADS environment variable. One solver (and
-  /// one worker pool) is reused across all epochs.
-  int solverThreads = -1;
   /// When true, runClosedLoopSimulation fast-forwards provably steady
   /// intervals analytically (see runClosedLoopSimulationFluid). Off by
   /// default so existing experiments keep their exact execution path.

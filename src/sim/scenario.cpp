@@ -286,7 +286,6 @@ Scenario buildScenario(const ScenarioSpec& spec) {
   s.config.warmup = spec.warmup;
   s.config.rateBinWidth = spec.rateBinWidth;
   s.config.computeFairEpochs = spec.computeFairEpochs;
-  s.config.solverThreads = spec.solverThreads;
   s.config.engineThreads = spec.engineThreads;
   s.config.speculationThreads = spec.speculationThreads;
   s.config.speculativeEpochs = spec.speculativeEpochs;

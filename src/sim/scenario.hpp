@@ -212,7 +212,6 @@ struct ScenarioSpec {
 
   /// Forwarded into ClosedLoopConfig (see closed_loop.hpp).
   bool computeFairEpochs = false;
-  int solverThreads = -1;
   /// Forwarded into ClosedLoopConfig::engineThreads: thread count for
   /// the component-parallel transient engine (-1 = MCFAIR_SIM_THREADS).
   int engineThreads = -1;

@@ -53,7 +53,6 @@ void runCell(const SweepConfig& config, const ScenarioSpec& preset,
   const bool paranoid = config.validate.resolve();
 
   fairness::MaxMinOptions solverOptions;
-  solverOptions.threads = 0;  // the fleet parallelizes over cells instead
   solverOptions.validate = config.validate;
 
   fairness::MaxMinSolver exact(solverOptions);

@@ -156,8 +156,8 @@ void ThreadPool::runShard(const ShardFnRef& fn, std::size_t shard) {
 void ThreadPool::workerLoop() {
   std::uint64_t seenGeneration = 0;
   for (;;) {
-    // Spin-then-block: between back-to-back sweeps (the solver's filling
-    // loop submits one per round) the next generation usually lands
+    // Spin-then-block: between back-to-back jobs (the speculative engine
+    // submits its epoch stages in a row) the next generation usually lands
     // within the spin budget, so the worker picks it up without paying
     // the condvar sleep/wake latency. The bound keeps an idle pool off
     // the CPU: after spinIterations_ polls the worker parks below, and

@@ -1,4 +1,6 @@
-// Fixed-size worker pool for sharded per-link sweeps.
+// Fixed-size worker pool for sharded parallel work: the component-
+// parallel closed-loop engine's lanes, the speculative engine's epoch
+// stages, and sim::SweepDriver's grid cells.
 //
 // The pool is built once (spawning workerCount() - 1 threads; the caller
 // of forEachShard acts as the remaining executor) and reused across many
@@ -7,8 +9,8 @@
 // are claimed through an atomic counter, so which executor runs which
 // shard is nondeterministic — callers that need deterministic results
 // must make each shard's work depend only on its shard index (fixed data
-// ranges, per-shard scratch), which is exactly how fairness::MaxMinSolver
-// uses it.
+// ranges, per-shard scratch), which is how all three users above keep
+// their results bit-identical to serial runs.
 //
 // The steady-state submit path performs no heap allocation: the callable
 // is borrowed by reference (it must outlive the forEachShard call, which
@@ -23,15 +25,19 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace mcfair::util {
 
 /// Non-owning reference to a `void(std::size_t shard)` callable — the
-/// pool's submit currency. Building one allocates nothing.
+/// pool's submit currency. Building one allocates nothing. Copies refer
+/// to the same callable (the constraint keeps a ShardFnRef lvalue from
+/// being wrapped as a callable in its own right).
 class ShardFnRef {
  public:
   template <typename Fn>
+    requires(!std::is_same_v<std::remove_cv_t<Fn>, ShardFnRef>)
   ShardFnRef(Fn& fn)  // NOLINT(google-explicit-constructor)
       : ctx_(&fn), call_([](void* ctx, std::size_t shard) {
           (*static_cast<Fn*>(ctx))(shard);
@@ -48,11 +54,11 @@ class ThreadPool {
  public:
   /// Bounded busy-wait iterations a worker performs on the submission
   /// generation before falling back to the condition variable. The
-  /// solver's filling loop submits sweeps back to back, so the next job
-  /// usually arrives within the spin window and the worker skips the
-  /// sleep/wake round trip entirely; an idle pool still parks on the
-  /// condvar after the bound, so it never burns a core while the caller
-  /// does serial work.
+  /// speculative engine submits its epoch stages back to back, so the
+  /// next job usually arrives within the spin window and the worker
+  /// skips the sleep/wake round trip entirely; an idle pool still parks
+  /// on the condvar after the bound, so it never burns a core while the
+  /// caller does serial work.
   static constexpr std::size_t kDefaultSpin = 1 << 12;
 
   /// A pool with `workers` executors total. `workers <= 1` spawns no
@@ -95,7 +101,7 @@ class ThreadPool {
   void beginShards(std::size_t shardCount, ShardFnRef fn);
   void finishShards();
 
-  /// Parses a thread-count environment variable (e.g. MCFAIR_THREADS).
+  /// Parses a thread-count environment variable (e.g. MCFAIR_SIM_THREADS).
   /// Unset, empty, non-numeric, or negative values yield `fallback`;
   /// results are clamped to [0, 256].
   static std::size_t threadCountFromEnv(const char* var,

@@ -13,12 +13,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "fairness/maxmin.hpp"
 #include "net/topologies.hpp"
 
 namespace {
-// Atomic: operator new can run on pool worker threads too.
 std::atomic<std::size_t> g_allocations{0};
 
 // C11 aligned_alloc requires size to be a multiple of the alignment
@@ -144,6 +144,32 @@ TEST(MaxMinZeroAlloc, RebindSameStructureStaysWarm) {
   // workspace when the network is unchanged (identity short-circuit).
   const std::size_t before = g_allocations;
   (void)solver.solve(n);
+  EXPECT_EQ(g_allocations - before, 0u);
+}
+
+// The fault path is allocation-free end to end: setCapacity mutates the
+// network in place (down / degrade / repair), and the capacity-refresh
+// rebind plus the re-solve reuse the bound workspace — no per-fault heap
+// traffic.
+TEST(MaxMinZeroAlloc, FaultChurnStaysAllocationFree) {
+  auto n = net::fig2Network(true);
+  std::vector<double> base;
+  for (std::uint32_t j = 0; j < n.linkCount(); ++j) {
+    base.push_back(n.capacity(graph::LinkId{j}));
+  }
+  MaxMinSolver solver(noValidate());
+  solver.bind(n);
+  (void)solver.solve();  // warm-up builds workspace capacity
+  const std::size_t before = g_allocations;
+  for (std::uint32_t step = 0; step < 30; ++step) {
+    const graph::LinkId l{step % static_cast<std::uint32_t>(n.linkCount())};
+    const double cap = step % 3 == 0   ? 0.0
+                       : step % 3 == 1 ? 0.5 * base[l.value]
+                                       : base[l.value];
+    n.setCapacity(l, cap);
+    solver.bind(n);  // structure unchanged: O(links) refresh in place
+    (void)solver.solveAllocation();
+  }
   EXPECT_EQ(g_allocations - before, 0u);
 }
 

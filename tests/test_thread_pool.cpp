@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -149,6 +150,25 @@ TEST(ThreadPool, NestedSubmitPropagatesInnerExceptions) {
     outer.forEachShard(inner.size(), outerCounting);
     EXPECT_EQ(count.load(), inner.size() * 8u);
   }
+}
+
+TEST(ShardFnRef, CopyOfLvalueRefersToTheSameCallable) {
+  // Copying a non-const ShardFnRef lvalue must copy the reference it
+  // holds, not wrap the ShardFnRef object itself: beginShards stores its
+  // by-value argument this way, and a wrapper would dangle once that
+  // argument dies. Rebinding the source afterwards exposes the wrapper
+  // deterministically (it would follow `a` to fb).
+  int ranA = 0;
+  int ranB = 0;
+  auto fa = [&](std::size_t) { ++ranA; };
+  auto fb = [&](std::size_t) { ++ranB; };
+  ShardFnRef a(fa);
+  std::optional<ShardFnRef> stored;
+  stored = a;
+  a = ShardFnRef(fb);
+  (*stored)(0);
+  EXPECT_EQ(ranA, 1);
+  EXPECT_EQ(ranB, 0);
 }
 
 }  // namespace
