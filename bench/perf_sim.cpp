@@ -3,7 +3,7 @@
 //
 // The BM_ClosedLoopMerge* pair measures what the event-driven session
 // engine changed: merging N senders' packet streams costs O(log N) per
-// packet in the engine (runClosedLoopSimulation) versus O(N) in the
+// packet in the heap engine (one component lane) versus O(N) in the
 // retained reference driver (runClosedLoopSimulationReference). Both run
 // the identical mega-merge scenario, so the rows are directly
 // comparable; scripts/bench_baseline.sh records them side by side in
@@ -39,11 +39,15 @@ std::int64_t mergePackets(const sim::Scenario& s) {
          static_cast<std::int64_t>(s.config.duration);
 }
 
+// The heap engine, pinned: at 256+ single-component sessions the default
+// entry dispatches to the batched engine, so the row runs the heap loop
+// as the single component lane at one thread (no worker threads).
 void BM_ClosedLoopMergeEvent(benchmark::State& state) {
-  const auto s = mergeScenario(static_cast<std::size_t>(state.range(0)));
+  auto s = mergeScenario(static_cast<std::size_t>(state.range(0)));
+  s.config.engineThreads = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::runClosedLoopSimulation(s.network, s.config));
+        sim::runClosedLoopSimulationParallel(s.network, s.config));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           mergePackets(s));
@@ -271,45 +275,23 @@ BENCHMARK(BM_ClosedLoopParallel)
     ->Args({10000, 8})
     ->Unit(benchmark::kMillisecond);
 
-// Speculative intra-component engine on the mega-merge preset — the
-// single-dominant-component population the component-parallel lanes
-// cannot split. The second arg is the worker count: 0 runs the serial
-// event engine on the same scenario as the baseline row (matching the
-// BM_ClosedLoopParallel convention), T >= 1 runs the speculative engine
-// with speculationThreads=T (T=1 measures pure epoch/snapshot/sort
-// overhead). On a 1-CPU container the threaded rows measure
-// coordination overhead, not speedup — see docs/BENCHMARKS.md. Items =
-// packets merged per run.
-void BM_ClosedLoopSpeculative(benchmark::State& state) {
-  auto s = mergeScenario(static_cast<std::size_t>(state.range(0)));
-  const auto threads = static_cast<int>(state.range(1));
-  if (threads == 0) {
-    s.config.engineThreads = 1;  // serial event-engine baseline row
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          sim::runClosedLoopSimulation(s.network, s.config));
-    }
-  } else {
-    s.config.speculationThreads = threads;
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          sim::runClosedLoopSimulationSpeculative(s.network, s.config));
-    }
+// Batched serial engine on the mega-merge preset — the single-dominant-
+// component population the component-parallel lanes cannot split, and
+// the shape runClosedLoopSimulation dispatches to it (at 256+ sessions,
+// at every thread count). Compare against BM_ClosedLoopMergeEvent/N, the
+// heap engine on the same scenario. Items = packets merged per run.
+void BM_ClosedLoopBatched(benchmark::State& state) {
+  const auto s = mergeScenario(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::runClosedLoopSimulationBatched(s.network, s.config));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           mergePackets(s));
 }
-BENCHMARK(BM_ClosedLoopSpeculative)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Args({1000, 8})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
-    ->Args({10000, 8})
+BENCHMARK(BM_ClosedLoopBatched)
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 // Cold partition cost: union-find over every session's routed link

@@ -40,7 +40,7 @@ fi
 echo "wrote $out_file" >&2
 
 "$build_dir/bench_perf_sim" \
-  --benchmark_filter='BM_ClosedLoopMerge|BM_ClosedLoopFluid|BM_RoutePlan|BM_ScenarioMesh|BM_FaultChurn|BM_FluidHandback|BM_ClosedLoopParallel|BM_ClosedLoopSpeculative|BM_Partition' \
+  --benchmark_filter='BM_ClosedLoopMerge|BM_ClosedLoopFluid|BM_RoutePlan|BM_ScenarioMesh|BM_FaultChurn|BM_FluidHandback|BM_ClosedLoopParallel|BM_ClosedLoopBatched|BM_Partition' \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json \
   --benchmark_out="$sim_out_file" \
@@ -143,19 +143,16 @@ for name, (t, unit) in sorted(sim.items()):
         print(f"{name:<44}{t:>10.2f}{unit}{'-':>12}{'':>9}")
 
 print()
-print(f"{'speculative engine benchmark':<44}{'workers':>12}{'serial':>12}"
+print(f"{'batched engine benchmark':<44}{'batched':>12}{'heap':>12}"
       f"{'speedup':>9}")
 for name, (t, unit) in sorted(sim.items()):
-    if not name.startswith("BM_ClosedLoopSpeculative/"):
+    if not name.startswith("BM_ClosedLoopBatched/"):
         continue
-    base, _, threads = name.rpartition("/")
-    if threads == "0":
+    heap = sim.get(name.replace("Batched/", "MergeEvent/"))
+    if heap is None:
         continue
-    serial = sim.get(f"{base}/0")
-    if serial is None:
-        continue
-    print(f"{name:<44}{t:>10.2f}{unit}{serial[0]:>10.2f}{serial[1]}"
-          f"{serial[0] / t:>8.2f}x")
+    print(f"{name:<44}{t:>10.2f}{unit}{heap[0]:>10.2f}{heap[1]}"
+          f"{heap[0] / t:>8.2f}x")
 
 print()
 print(f"{'mesh benchmark':<44}{'mesh':>12}{'tree':>12}{'ratio':>9}")

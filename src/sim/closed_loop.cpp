@@ -1,7 +1,6 @@
 #include "sim/closed_loop.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -224,8 +223,6 @@ std::uint64_t lastEmissionBefore(double phase, double period,
                                  double x) noexcept {
   return lastEmissionAt(phase, period, x, /*strict=*/true);
 }
-
-class SpecEngine;  // intra-component speculative engine (befriended below)
 
 // Everything the drivers share: validation, protocol state machines,
 // token buckets, optional exogenous loss models, and the measurement
@@ -534,6 +531,82 @@ class SimCore {
       linkTouched_[j] = 0;
       linkDropping_[j] = 0;
     }
+  }
+
+  // ---- batched serial merge ----------------------------------------------
+
+  /// Runs the whole experiment in windows of simulated time and returns
+  /// the window count. Sender emission is closed form and independent of
+  /// receiver state, so one pass generates every packet of a window: the
+  /// per-layer counts come from lastEmissionBefore (lastEmissionAtMost
+  /// for the final window, which includes `duration` like the heap loop)
+  /// and are pulled through senders_[i].next(). Sorting the window by
+  /// (time, session, ord) reproduces the heap's pop order: packet times
+  /// are distinct across sessions almost surely, and `ord` keeps each
+  /// sender's own order. Every packet then runs through processPacket
+  /// after each fault at or before its time, the heap loop's rule. The
+  /// result is bit-identical to runEventDriven; nothing is frozen,
+  /// snapshotted or replayed. The arena is sized once (a stream of
+  /// period p emits at most w / p + 1 packets in a window of width w),
+  /// so the window loop allocates nothing.
+  std::uint64_t runBatched() {
+    const std::size_t nSessions = sessionCount();
+    const double duration = config_.duration;
+    double totalRate = 0.0;
+    for (std::size_t i = 0; i < nSessions; ++i) totalRate += aggregateRate(i);
+    const auto windows = static_cast<std::size_t>(std::clamp(
+        std::ceil(totalRate * duration / kBatchPackets), 1.0, 1.0e9));
+    const double width = duration / static_cast<double>(windows);
+    double bound = 64.0;
+    for (std::size_t i = 0; i < nSessions; ++i) {
+      bound += aggregateRate(i) * width +
+               static_cast<double>(sessionConfigs_[i].layers) + 1.0;
+    }
+    std::vector<BatchPacket> batch(static_cast<std::size_t>(bound));
+
+    for (std::size_t w = 0; w < windows; ++w) {
+      const bool last = w + 1 == windows;
+      const double hi = last ? duration
+                             : duration * static_cast<double>(w + 1) /
+                                   static_cast<double>(windows);
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < nSessions; ++i) {
+        LayeredSender& snd = senders_[i];
+        std::uint64_t n = 0;
+        for (std::size_t k = 1; k <= sessionConfigs_[i].layers; ++k) {
+          const double phase = snd.layerPhase(k);
+          const double period = snd.layerPeriod(k);
+          const std::uint64_t upTo =
+              last ? lastEmissionAtMost(phase, period, hi)
+                   : lastEmissionBefore(phase, period, hi);
+          n += upTo - std::min(upTo, snd.layerEmitted(k));
+        }
+        MCFAIR_REQUIRE(n <= batch.size() - count,
+                       "batched arena bound violated");
+        for (std::uint32_t q = 0; q < n; ++q) {
+          const Packet p = snd.next();
+          batch[count++] = BatchPacket{p.time, static_cast<std::uint32_t>(i),
+                                       q, static_cast<std::uint32_t>(p.layer),
+                                       static_cast<std::uint32_t>(p.syncLevel)};
+        }
+      }
+      std::sort(batch.begin(), batch.begin() + count,
+                [](const BatchPacket& a, const BatchPacket& b) noexcept {
+                  if (a.time != b.time) return a.time < b.time;
+                  if (a.session != b.session) return a.session < b.session;
+                  return a.ord < b.ord;
+                });
+      for (std::size_t p = 0; p < count; ++p) {
+        const BatchPacket& bp = batch[p];
+        while (nextFaultTime() <= bp.time) applyNextFault();
+        Packet pkt;
+        pkt.layer = bp.layer;
+        pkt.time = bp.time;
+        pkt.syncLevel = bp.syncLevel;
+        processPacket(bp.session, pkt);
+      }
+    }
+    return windows;
   }
 
   // ---- fluid fast-forward mode ------------------------------------------
@@ -1040,10 +1113,23 @@ class SimCore {
   }
 
  private:
-  // The speculative engine is an alternate driver over the same SoA
-  // state: it reuses the fluid scratch CSRs and mutates the buckets,
-  // receivers, and accumulators directly from its sharded stages.
-  friend class SpecEngine;
+  // One generated packet of a batched window; `ord` is its index among
+  // the session's packets in the window.
+  struct BatchPacket {
+    double time;
+    std::uint32_t session;
+    std::uint32_t ord;
+    std::uint32_t layer;
+    std::uint32_t syncLevel;
+  };
+
+  // Packets per batched window: enough to amortize the per-window pass
+  // over every sender, small enough that the arena stays a few MB.
+  static constexpr double kBatchPackets = 262144.0;
+
+  double aggregateRate(std::size_t i) const {
+    return senders_[i].scheme().cumulativeRate(sessionConfigs_[i].layers);
+  }
 
   std::size_t binIndex(double time) const noexcept {
     return std::min(nBins_ - 1, static_cast<std::size_t>(
@@ -1067,8 +1153,7 @@ class SimCore {
     }
     sessAggRate_.resize(nSessions);
     for (std::size_t i = 0; i < nSessions; ++i) {
-      sessAggRate_[i] =
-          senders_[i].scheme().cumulativeRate(sessionConfigs_[i].layers);
+      sessAggRate_[i] = aggregateRate(i);
     }
     events_.reserve(2 * nSessions);
     linkS_.resize(nLinks);
@@ -1193,824 +1278,6 @@ class SimCore {
   std::vector<std::uint32_t> dirtyLinks_;
 };
 
-// ---- speculative intra-component engine ---------------------------------
-//
-// The component-parallel engine's unit of concurrency is a component, so a
-// mega-merge population — every session crossing one shared bottleneck —
-// is one lane and runs serially no matter how many threads are available.
-// The speculative engine parallelizes INSIDE such a component by splitting
-// simulated time into epochs bounded by shared-link state-change times
-// (session starts/stops, fault events, plus a uniform grid) and running
-// three sharded stages per epoch against a FROZEN snapshot of each
-// session's receiver subscription levels:
-//
-//   GEN   (session-sharded)  Each sender's epoch packets via closed-form
-//                            layerEmissionTime counts — embarrassingly
-//                            parallel, overlapped with the caller's serial
-//                            index build and with the previous epoch's
-//                            admit stage (ThreadPool::beginShards).
-//   ADMIT (link-sharded)     Token-bucket admit + exogenous loss for every
-//                            packet predicted to touch the link, in global
-//                            packet order restricted to the link. Each
-//                            worker owns a contiguous link range, so each
-//                            bucket and loss RNG stream has one writer.
-//   RECV  (session-sharded)  Level sampling, delivery accounting, and the
-//                            protocol state machines, against the TRUE
-//                            (evolving) receiver state.
-//
-// Bit-identity argument. The serial engines apply, per packet: level
-// samples and the subscriber scan, then per touched link (the union of
-// subscribed receivers' data paths) the bucket admit and loss draw, then
-// per subscriber the delivery + onPacket transition. The only coupling
-// between sessions is the per-link admit/loss sequence; its order is the
-// global packet order restricted to the link. The engine sorts each
-// epoch's packets by (time, session) — the reference merge's exact order
-// (lowest session index on equal times) — and feeds each link its
-// arrivals in that order, so when the PREDICTED touched set of every
-// packet equals the true one, every bucket sees the serial call sequence
-// and every accumulator update commutes across shards (disjoint
-// ownership). The prediction is exact by construction while no receiver
-// of the session changed level since the epoch's snapshot (levels are the
-// only input to the touched-set computation); the RECV stage tracks this
-// per session and, once a level moves, compares the true touched set of
-// each subsequent packet against the prediction. Any mismatch flags the
-// epoch as diverged: the engine restores the pre-epoch snapshot (buckets,
-// loss-model words, loss/receiver RNG streams, receivers, every
-// accumulator) and replays the epoch's packets serially through
-// processPacketInto — the literal serial semantics. Epochs therefore
-// commit speculative work only when it is provably bit-identical, and
-// fall back to serial execution (bounded to one epoch) when it is not.
-//
-// Populations whose receivers cannot change level — single-layer sessions,
-// the mega-merge shape — never diverge: speculationRollbacks == 0.
-//
-// Steady-state epochs are allocation-free: every arena, index, and
-// snapshot twin is sized once at setup from closed-form per-epoch packet
-// bounds (rate * width + one per stream), and the per-epoch passes are
-// fills, copies, sorts, and heap-free scans into that storage.
-class SpecEngine {
- public:
-  SpecEngine(SimCore& core, std::size_t threads)
-      : core_(core),
-        network_(core.network_),
-        config_(core.config_),
-        threads_(std::max<std::size_t>(1, threads)),
-        pool_(threads_) {
-    genJob_.engine = this;
-    admitJob_.engine = this;
-    recvJob_.engine = this;
-    setup();
-  }
-
-  void run();
-
-  std::uint64_t epochs() const noexcept { return epochCount_; }
-  std::uint64_t rollbacks() const noexcept { return rollbackCount_; }
-
- private:
-  // One generated packet. `ord` is the generation index within (session,
-  // epoch): sorting by (time, session, ord) reproduces both the
-  // reference merge's cross-session order and each sender's own stream
-  // order (sender times are nondecreasing, ties emitted in pop order).
-  struct SpecPacket {
-    double time;
-    std::uint32_t session;
-    std::uint32_t ord;
-    std::uint32_t layer;
-    std::uint32_t syncLevel;
-  };
-
-  // ThreadPool jobs must outlive beginShards..finishShards; member
-  // functors give them engine lifetime.
-  struct GenJob {
-    SpecEngine* engine;
-    void operator()(std::size_t shard) const { engine->generateShard(shard); }
-  };
-  struct AdmitJob {
-    SpecEngine* engine;
-    void operator()(std::size_t shard) const { engine->admitShard(shard); }
-  };
-  struct RecvJob {
-    SpecEngine* engine;
-    void operator()(std::size_t shard) const { engine->receiverShard(shard); }
-  };
-
-  // Auto epoch sizing targets this many packets per epoch; the knob
-  // overrides the uniform division count directly.
-  static constexpr double kTargetEpochPackets = 262144.0;
-
-  void setup();
-  void prepareCounts(std::size_t epoch);
-  void sortArena(std::size_t which, std::size_t count);
-  void refreshFrozen();
-  void takeSnapshot();
-  void restoreSnapshot();
-  void buildEpochIndex();
-  void rollbackEpoch();
-  void generateShard(std::size_t shard);
-  void admitShard(std::size_t shard);
-  void receiverShard(std::size_t shard);
-
-  // Contiguous weighted range cuts: bounds[k]..bounds[k+1] is shard k's
-  // range, cut so each carries ~1/shards of the total weight. Empty
-  // shards are fine (workers skip them).
-  static void planCuts(std::span<const double> weight, std::size_t shards,
-                       std::vector<std::size_t>& bounds) {
-    bounds.assign(shards + 1, weight.size());
-    bounds[0] = 0;
-    double total = 0.0;
-    for (const double w : weight) total += w;
-    double acc = 0.0;
-    std::size_t k = 1;
-    for (std::size_t i = 0; i < weight.size(); ++i) {
-      acc += weight[i];
-      while (k < shards && acc >= total * static_cast<double>(k) /
-                                      static_cast<double>(shards)) {
-        bounds[k++] = i + 1;
-      }
-    }
-  }
-
-  SimCore& core_;
-  const net::Network& network_;
-  const ClosedLoopConfig& config_;
-  std::size_t threads_;
-  util::ThreadPool pool_;
-  GenJob genJob_;
-  AdmitJob admitJob_;
-  RecvJob recvJob_;
-
-  // Epoch boundaries: bounds_[e]..bounds_[e+1] is epoch e, lower bound
-  // inclusive, upper bound exclusive except for the final epoch (which
-  // includes packets at exactly `duration`, like every serial driver).
-  std::vector<double> bounds_;
-
-  // Double-buffered packet arenas: front_ holds the epoch in flight,
-  // the other side is filled by the overlapped generation of the next.
-  std::vector<SpecPacket> arena_[2];
-  std::size_t front_ = 0;
-  std::size_t frontCount_ = 0;
-  std::size_t genTarget_ = 0;
-  std::size_t arenaCapacity_ = 0;
-
-  // Closed-form per-session generation counts for the epoch being
-  // generated (cnt_) and their exclusive prefix (off_ = arena offsets).
-  std::vector<std::uint32_t> cnt_;
-  std::vector<std::size_t> off_;
-  std::size_t pendingCount_ = 0;
-
-  // Frozen subscription snapshot: per session-slot (sessLink_ position)
-  // the max level over the session's receivers whose data path crosses
-  // that slot's link, and per session the max receiver level. A packet
-  // of layer L is predicted to touch slot s iff frozenMaxSlot_[s] >= L.
-  std::vector<std::uint32_t> frozenMaxSlot_;
-  std::vector<std::uint32_t> frozenSessMax_;
-  // 1 = the session's levels still equal the frozen snapshot. Cleared by
-  // the RECV stage on any level transition; refreshFrozen() recomputes
-  // cleared sessions at the next epoch top.
-  std::vector<char> frozenValid_;
-
-  // Per flat receiver: its data-path links as slot offsets within the
-  // session's sessLink_ range (CSR).
-  std::vector<std::size_t> recvSlotBegin_;
-  std::vector<std::uint32_t> recvSlot_;
-  std::size_t maxSlots_ = 0;
-
-  // Per-epoch index, rebuilt serially while generation runs.
-  // posList_: in-lifetime packet positions grouped by session (CSR) —
-  // the RECV stage's work lists. dropOff_/dropByte_: per packet, one
-  // drop flag per session slot, written by ADMIT, read by RECV.
-  // linkPos_: per link, its predicted arrivals in global order (CSR),
-  // packed (position << 16 | slot offset).
-  std::vector<std::size_t> posBegin_;
-  std::vector<std::size_t> posFill_;
-  std::vector<std::size_t> posList_;
-  std::vector<std::size_t> dropOff_;
-  std::vector<std::uint8_t> dropByte_;
-  std::size_t dropCapacity_ = 0;
-  std::vector<std::size_t> linkPosBegin_;
-  std::vector<std::size_t> linkFill_;
-  std::vector<std::uint64_t> linkPos_;
-
-  // Shard plans (weighted contiguous cuts, fixed at setup).
-  std::size_t sessShards_ = 1;
-  std::size_t linkShards_ = 1;
-  std::vector<std::size_t> sessShardBounds_;
-  std::vector<std::size_t> linkShardBounds_;
-  // Per session-shard scratch for the divergence compare.
-  std::vector<std::vector<std::uint8_t>> slotMark_;
-
-  // Pre-epoch snapshot twins (sized once; std::copy per epoch).
-  std::vector<LayeredReceiver> snapReceivers_;
-  std::vector<util::Rng> snapReceiverRng_;
-  std::vector<TokenBucket> snapBuckets_;
-  std::vector<util::Rng> snapLossRng_;
-  std::vector<std::uint64_t> snapLossState_;
-  std::vector<std::uint64_t> snapDelivered_;
-  std::vector<double> snapLevelIntegral_;
-  std::vector<std::uint64_t> snapLevelSamples_;
-  std::vector<std::uint64_t> snapBinDelivered_;
-  std::vector<std::uint64_t> snapLinkForwarded_;
-  std::vector<std::uint64_t> snapLinkOffered_;
-  std::vector<std::uint64_t> snapLinkDropped_;
-  std::vector<std::uint64_t> snapSessionForwarded_;
-  std::vector<std::uint32_t> snapNonAbsorbing_;
-
-  std::atomic<bool> diverged_{false};
-  std::uint64_t epochCount_ = 0;
-  std::uint64_t rollbackCount_ = 0;
-};
-
-void SpecEngine::setup() {
-  core_.ensureFluidScratch();
-  const std::size_t nSessions = core_.sessionCount();
-  const std::size_t nLinks = network_.linkCount();
-  const std::size_t nReceivers = network_.receiverCount();
-  const double duration = config_.duration;
-
-  // Receiver -> session-slot CSR. Paths are short, so the linear slot
-  // search per path link is cheap and setup-only.
-  recvSlotBegin_.assign(nReceivers + 1, 0);
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    const auto& sess = network_.session(i);
-    const std::size_t rb = core_.recvBegin_[i];
-    for (std::size_t k = 0; k < sess.receivers.size(); ++k) {
-      recvSlotBegin_[rb + k + 1] = sess.receivers[k].dataPath.size();
-    }
-  }
-  for (std::size_t r = 0; r < nReceivers; ++r) {
-    recvSlotBegin_[r + 1] += recvSlotBegin_[r];
-  }
-  recvSlot_.resize(recvSlotBegin_[nReceivers]);
-  maxSlots_ = 0;
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    const auto& sess = network_.session(i);
-    const std::size_t base = core_.sessLinkBegin_[i];
-    const std::size_t slots = core_.sessLinkBegin_[i + 1] - base;
-    maxSlots_ = std::max(maxSlots_, slots);
-    const std::size_t rb = core_.recvBegin_[i];
-    for (std::size_t k = 0; k < sess.receivers.size(); ++k) {
-      std::size_t at = recvSlotBegin_[rb + k];
-      for (const graph::LinkId l : sess.receivers[k].dataPath) {
-        std::uint32_t so = 0;
-        while (core_.sessLink_[base + so] != l.value) ++so;
-        recvSlot_[at++] = so;
-      }
-    }
-  }
-  MCFAIR_REQUIRE(maxSlots_ < (1u << 16),
-                 "session link union too large for speculative packing");
-
-  // Epoch boundaries: every shared-link state-change time in range, the
-  // uniform grid, and the run's endpoints. A fault at exactly `duration`
-  // gets a zero-width final epoch so it still fires before any packet
-  // emitted exactly at the horizon.
-  bounds_.clear();
-  bounds_.push_back(0.0);
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    const auto& sc = core_.sessionConfigs_[i];
-    if (sc.startTime > 0.0 && sc.startTime < duration) {
-      bounds_.push_back(sc.startTime);
-    }
-    if (sc.stopTime > 0.0 && sc.stopTime < duration) {
-      bounds_.push_back(sc.stopTime);
-    }
-  }
-  bool faultAtEnd = false;
-  for (const net::FaultEvent& ev : core_.faultEvents()) {
-    if (ev.time > 0.0 && ev.time < duration) {
-      bounds_.push_back(ev.time);
-    } else if (ev.time == duration) {
-      faultAtEnd = true;
-    }
-  }
-  double totalRate = 0.0;
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    totalRate += core_.sessAggRate_[i];
-  }
-  std::size_t divisions = config_.speculativeEpochs;
-  if (divisions == 0) {
-    divisions = std::clamp<std::size_t>(
-        static_cast<std::size_t>(totalRate * duration / kTargetEpochPackets),
-        1, 4096);
-  }
-  for (std::size_t g = 1; g < divisions; ++g) {
-    bounds_.push_back(duration * static_cast<double>(g) /
-                      static_cast<double>(divisions));
-  }
-  bounds_.push_back(duration);
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  if (faultAtEnd) bounds_.push_back(duration);
-
-  // Closed-form arena sizing: a periodic stream of period p emits at
-  // most width / p + 1 packets in any closed interval of that width, so
-  // rate * maxWidth + layers bounds a session's epoch packets.
-  double maxWidth = 0.0;
-  for (std::size_t e = 0; e + 1 < bounds_.size(); ++e) {
-    maxWidth = std::max(maxWidth, bounds_[e + 1] - bounds_[e]);
-  }
-  double capBound = 0.0;
-  double dropBound = 0.0;
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    const double perSession =
-        core_.sessAggRate_[i] * maxWidth +
-        static_cast<double>(core_.sessionConfigs_[i].layers) + 1.0;
-    capBound += perSession;
-    dropBound += perSession *
-                 static_cast<double>(core_.sessLinkBegin_[i + 1] -
-                                     core_.sessLinkBegin_[i]);
-  }
-  arenaCapacity_ = static_cast<std::size_t>(capBound) + 64;
-  dropCapacity_ = static_cast<std::size_t>(dropBound) + 64 * (maxSlots_ + 1);
-  arena_[0].resize(arenaCapacity_);
-  arena_[1].resize(arenaCapacity_);
-  cnt_.resize(nSessions);
-  off_.resize(nSessions + 1);
-  posBegin_.assign(nSessions + 1, 0);
-  posFill_.assign(nSessions, 0);
-  posList_.resize(arenaCapacity_);
-  dropOff_.resize(arenaCapacity_ + 1);
-  dropByte_.assign(dropCapacity_, 0);
-  linkPosBegin_.assign(nLinks + 1, 0);
-  linkFill_.assign(nLinks, 0);
-  linkPos_.resize(dropCapacity_);
-
-  // Shard plans. Generation and RECV cost scale with a session's packet
-  // rate (RECV additionally with its receiver count); ADMIT cost with
-  // the aggregate rate crossing each link.
-  sessShards_ = std::max<std::size_t>(
-      1, std::min(nSessions, threads_ * 4));
-  {
-    std::vector<double> weight(nSessions);
-    for (std::size_t i = 0; i < nSessions; ++i) {
-      const double nr = static_cast<double>(core_.recvBegin_[i + 1] -
-                                            core_.recvBegin_[i]);
-      weight[i] = core_.sessAggRate_[i] * (1.0 + nr);
-    }
-    planCuts(weight, sessShards_, sessShardBounds_);
-  }
-  linkShards_ = std::min(nLinks, threads_);
-  {
-    std::vector<double> weight(nLinks, 0.0);
-    for (std::size_t j = 0; j < nLinks; ++j) {
-      for (std::size_t s = core_.linkSessBegin_[j];
-           s < core_.linkSessBegin_[j + 1]; ++s) {
-        weight[j] += core_.sessAggRate_[core_.linkSess_[s]];
-      }
-    }
-    planCuts(weight, std::max<std::size_t>(1, linkShards_),
-             linkShardBounds_);
-  }
-  slotMark_.assign(sessShards_, std::vector<std::uint8_t>(maxSlots_, 0));
-
-  // Frozen snapshot storage; everything starts dirty.
-  frozenMaxSlot_.assign(core_.sessLink_.size(), 0);
-  frozenSessMax_.assign(nSessions, 0);
-  frozenValid_.assign(nSessions, 0);
-
-  // Snapshot twins, copy-initialized once so per-epoch snapshots are
-  // element copies into existing storage.
-  snapReceivers_ = core_.receivers_;
-  snapReceiverRng_ = core_.receiverRng_;
-  snapBuckets_ = core_.buckets_;
-  snapLossRng_ = core_.lossRng_;
-  snapLossState_.assign(nLinks, 0);
-  snapDelivered_.assign(nReceivers, 0);
-  snapLevelIntegral_.assign(nReceivers, 0.0);
-  snapLevelSamples_.assign(nReceivers, 0);
-  snapBinDelivered_.assign(core_.binDelivered_.size(), 0);
-  snapLinkForwarded_.assign(nLinks, 0);
-  snapLinkOffered_.assign(nLinks, 0);
-  snapLinkDropped_.assign(nLinks, 0);
-  snapSessionForwarded_.assign(core_.sessionForwarded_.size(), 0);
-  snapNonAbsorbing_.assign(nSessions, 0);
-}
-
-// Closed-form emission counts for `epoch`: each layer stream has emitted
-// exactly lastEmissionBefore(bounds_[epoch]) packets (the invariant the
-// previous epoch's generation established), so the delta to the epoch's
-// upper bound is this epoch's pull count. The final epoch is inclusive
-// at `duration`, matching every serial driver's `time > duration` break.
-void SpecEngine::prepareCounts(std::size_t epoch) {
-  const double hi = bounds_[epoch + 1];
-  const bool finalEpoch = epoch + 2 == bounds_.size();
-  const std::size_t nSessions = core_.sessionCount();
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    const LayeredSender& snd = core_.senders_[i];
-    const std::size_t layers = core_.sessionConfigs_[i].layers;
-    std::uint64_t c = 0;
-    for (std::size_t k = 1; k <= layers; ++k) {
-      const double phase = snd.layerPhase(k);
-      const double period = snd.layerPeriod(k);
-      const std::uint64_t target =
-          finalEpoch ? lastEmissionAtMost(phase, period, hi)
-                     : lastEmissionBefore(phase, period, hi);
-      const std::uint64_t done = snd.layerEmitted(k);
-      c += target > done ? target - done : 0;
-    }
-    off_[i] = total;
-    cnt_[i] = static_cast<std::uint32_t>(c);
-    total += c;
-  }
-  off_[nSessions] = total;
-  MCFAIR_REQUIRE(total <= arenaCapacity_,
-                 "speculative arena bound violated");
-  pendingCount_ = total;
-}
-
-void SpecEngine::generateShard(std::size_t shard) {
-  std::vector<SpecPacket>& out = arena_[genTarget_];
-  for (std::size_t i = sessShardBounds_[shard];
-       i < sessShardBounds_[shard + 1]; ++i) {
-    std::size_t at = off_[i];
-    const std::uint32_t n = cnt_[i];
-    for (std::uint32_t q = 0; q < n; ++q) {
-      const Packet p = core_.senders_[i].next();
-      out[at + q] = SpecPacket{p.time, static_cast<std::uint32_t>(i), q,
-                               static_cast<std::uint32_t>(p.layer),
-                               static_cast<std::uint32_t>(p.syncLevel)};
-    }
-  }
-}
-
-void SpecEngine::sortArena(std::size_t which, std::size_t count) {
-  std::sort(arena_[which].begin(), arena_[which].begin() + count,
-            [](const SpecPacket& a, const SpecPacket& b) noexcept {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.session != b.session) return a.session < b.session;
-              return a.ord < b.ord;
-            });
-}
-
-void SpecEngine::refreshFrozen() {
-  const std::size_t nSessions = core_.sessionCount();
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    if (frozenValid_[i]) continue;
-    const std::size_t base = core_.sessLinkBegin_[i];
-    const std::size_t slots = core_.sessLinkBegin_[i + 1] - base;
-    for (std::size_t s = 0; s < slots; ++s) frozenMaxSlot_[base + s] = 0;
-    std::uint32_t sessMax = 0;
-    const std::size_t rb = core_.recvBegin_[i];
-    const std::size_t re = core_.recvBegin_[i + 1];
-    for (std::size_t r = rb; r < re; ++r) {
-      const auto lvl =
-          static_cast<std::uint32_t>(core_.receivers_[r].level());
-      sessMax = std::max(sessMax, lvl);
-      for (std::size_t s = recvSlotBegin_[r]; s < recvSlotBegin_[r + 1];
-           ++s) {
-        std::uint32_t& slot = frozenMaxSlot_[base + recvSlot_[s]];
-        slot = std::max(slot, lvl);
-      }
-    }
-    frozenSessMax_[i] = sessMax;
-    frozenValid_[i] = 1;
-  }
-}
-
-void SpecEngine::takeSnapshot() {
-  std::copy(core_.receivers_.begin(), core_.receivers_.end(),
-            snapReceivers_.begin());
-  std::copy(core_.receiverRng_.begin(), core_.receiverRng_.end(),
-            snapReceiverRng_.begin());
-  std::copy(core_.buckets_.begin(), core_.buckets_.end(),
-            snapBuckets_.begin());
-  std::copy(core_.lossRng_.begin(), core_.lossRng_.end(),
-            snapLossRng_.begin());
-  for (std::size_t j = 0; j < core_.linkLoss_.size(); ++j) {
-    if (core_.linkLoss_[j] != nullptr) {
-      snapLossState_[j] = core_.linkLoss_[j]->stateWord();
-    }
-  }
-  std::copy(core_.delivered_.begin(), core_.delivered_.end(),
-            snapDelivered_.begin());
-  std::copy(core_.levelIntegral_.begin(), core_.levelIntegral_.end(),
-            snapLevelIntegral_.begin());
-  std::copy(core_.levelSamples_.begin(), core_.levelSamples_.end(),
-            snapLevelSamples_.begin());
-  std::copy(core_.binDelivered_.begin(), core_.binDelivered_.end(),
-            snapBinDelivered_.begin());
-  std::copy(core_.linkForwarded_.begin(), core_.linkForwarded_.end(),
-            snapLinkForwarded_.begin());
-  std::copy(core_.linkOffered_.begin(), core_.linkOffered_.end(),
-            snapLinkOffered_.begin());
-  std::copy(core_.linkDropped_.begin(), core_.linkDropped_.end(),
-            snapLinkDropped_.begin());
-  std::copy(core_.sessionForwarded_.begin(), core_.sessionForwarded_.end(),
-            snapSessionForwarded_.begin());
-  std::copy(core_.nonAbsorbing_.begin(), core_.nonAbsorbing_.end(),
-            snapNonAbsorbing_.begin());
-}
-
-void SpecEngine::restoreSnapshot() {
-  std::copy(snapReceivers_.begin(), snapReceivers_.end(),
-            core_.receivers_.begin());
-  std::copy(snapReceiverRng_.begin(), snapReceiverRng_.end(),
-            core_.receiverRng_.begin());
-  std::copy(snapBuckets_.begin(), snapBuckets_.end(),
-            core_.buckets_.begin());
-  std::copy(snapLossRng_.begin(), snapLossRng_.end(),
-            core_.lossRng_.begin());
-  for (std::size_t j = 0; j < core_.linkLoss_.size(); ++j) {
-    if (core_.linkLoss_[j] != nullptr) {
-      core_.linkLoss_[j]->setStateWord(snapLossState_[j]);
-    }
-  }
-  std::copy(snapDelivered_.begin(), snapDelivered_.end(),
-            core_.delivered_.begin());
-  std::copy(snapLevelIntegral_.begin(), snapLevelIntegral_.end(),
-            core_.levelIntegral_.begin());
-  std::copy(snapLevelSamples_.begin(), snapLevelSamples_.end(),
-            core_.levelSamples_.begin());
-  std::copy(snapBinDelivered_.begin(), snapBinDelivered_.end(),
-            core_.binDelivered_.begin());
-  std::copy(snapLinkForwarded_.begin(), snapLinkForwarded_.end(),
-            core_.linkForwarded_.begin());
-  std::copy(snapLinkOffered_.begin(), snapLinkOffered_.end(),
-            core_.linkOffered_.begin());
-  std::copy(snapLinkDropped_.begin(), snapLinkDropped_.end(),
-            core_.linkDropped_.begin());
-  std::copy(snapSessionForwarded_.begin(), snapSessionForwarded_.end(),
-            core_.sessionForwarded_.begin());
-  std::copy(snapNonAbsorbing_.begin(), snapNonAbsorbing_.end(),
-            core_.nonAbsorbing_.begin());
-}
-
-// Serial per-epoch index build (overlapped with generation of the next
-// epoch, which touches only the senders and the back arena): the RECV
-// work lists (in-lifetime packets by session), the drop-flag layout, and
-// each link's predicted arrival list in global packet order.
-void SpecEngine::buildEpochIndex() {
-  const std::vector<SpecPacket>& order = arena_[front_];
-  const std::size_t count = frontCount_;
-  const std::size_t nSessions = core_.sessionCount();
-  const std::size_t nLinks = network_.linkCount();
-
-  std::fill(posBegin_.begin(), posBegin_.end(), 0);
-  std::fill(linkPosBegin_.begin(), linkPosBegin_.end(), 0);
-  dropOff_[0] = 0;
-  for (std::size_t p = 0; p < count; ++p) {
-    const SpecPacket& sp = order[p];
-    const auto& sc = core_.sessionConfigs_[sp.session];
-    const bool inLife = sp.time >= sc.startTime && sp.time < sc.stopTime;
-    std::size_t slots = 0;
-    if (inLife) {
-      ++posBegin_[sp.session + 1];
-      if (frozenSessMax_[sp.session] >= sp.layer) {
-        const std::size_t base = core_.sessLinkBegin_[sp.session];
-        slots = core_.sessLinkBegin_[sp.session + 1] - base;
-        for (std::size_t s = 0; s < slots; ++s) {
-          if (frozenMaxSlot_[base + s] >= sp.layer) {
-            ++linkPosBegin_[core_.sessLink_[base + s] + 1];
-          }
-        }
-      }
-    }
-    dropOff_[p + 1] = dropOff_[p] + slots;
-  }
-  MCFAIR_REQUIRE(dropOff_[count] <= dropCapacity_,
-                 "speculative drop-flag bound violated");
-  for (std::size_t i = 0; i < nSessions; ++i) {
-    posBegin_[i + 1] += posBegin_[i];
-  }
-  for (std::size_t j = 0; j < nLinks; ++j) {
-    linkPosBegin_[j + 1] += linkPosBegin_[j];
-  }
-  std::copy(posBegin_.begin(), posBegin_.end() - 1, posFill_.begin());
-  std::copy(linkPosBegin_.begin(), linkPosBegin_.end() - 1,
-            linkFill_.begin());
-  for (std::size_t p = 0; p < count; ++p) {
-    const SpecPacket& sp = order[p];
-    if (dropOff_[p + 1] != dropOff_[p]) {
-      const std::size_t base = core_.sessLinkBegin_[sp.session];
-      const std::size_t slots = dropOff_[p + 1] - dropOff_[p];
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (frozenMaxSlot_[base + s] >= sp.layer) {
-          linkPos_[linkFill_[core_.sessLink_[base + s]]++] =
-              (static_cast<std::uint64_t>(p) << 16) | s;
-        }
-      }
-      posList_[posFill_[sp.session]++] = p;
-    } else {
-      const auto& sc = core_.sessionConfigs_[sp.session];
-      if (sp.time >= sc.startTime && sp.time < sc.stopTime) {
-        posList_[posFill_[sp.session]++] = p;
-      }
-    }
-  }
-  std::fill(dropByte_.begin(), dropByte_.begin() + dropOff_[count], 0);
-}
-
-void SpecEngine::admitShard(std::size_t shard) {
-  const std::vector<SpecPacket>& order = arena_[front_];
-  const bool haveLoss = !core_.linkLoss_.empty();
-  const double warmup = config_.warmup;
-  const std::size_t nLinks = network_.linkCount();
-  for (std::size_t j = linkShardBounds_[shard];
-       j < linkShardBounds_[shard + 1]; ++j) {
-    TokenBucket& bucket = core_.buckets_[j];
-    LossModel* loss = haveLoss ? core_.linkLoss_[j].get() : nullptr;
-    for (std::size_t at = linkPosBegin_[j]; at < linkPosBegin_[j + 1];
-         ++at) {
-      const std::uint64_t packed = linkPos_[at];
-      const auto p = static_cast<std::size_t>(packed >> 16);
-      const std::size_t slot = packed & 0xffffu;
-      const SpecPacket& sp = order[p];
-      const bool measuring = sp.time >= warmup;
-      if (measuring) ++core_.linkOffered_[j];
-      bool forwarded = bucket.admit(sp.time);
-      if (forwarded && loss != nullptr) {
-        forwarded = !loss->lose(core_.lossRng_[j]);
-      }
-      if (forwarded) {
-        if (measuring) {
-          ++core_.linkForwarded_[j];
-          ++core_.sessionForwarded_[sp.session * nLinks + j];
-        }
-      } else {
-        if (measuring) ++core_.linkDropped_[j];
-        dropByte_[dropOff_[p] + slot] = 1;
-      }
-    }
-  }
-}
-
-void SpecEngine::receiverShard(std::size_t shard) {
-  const std::vector<SpecPacket>& order = arena_[front_];
-  std::vector<std::uint8_t>& mark = slotMark_[shard];
-  const double warmup = config_.warmup;
-  for (std::size_t i = sessShardBounds_[shard];
-       i < sessShardBounds_[shard + 1]; ++i) {
-    if (diverged_.load(std::memory_order_relaxed)) return;
-    const std::size_t rb = core_.recvBegin_[i];
-    const std::size_t re = core_.recvBegin_[i + 1];
-    const std::size_t base = core_.sessLinkBegin_[i];
-    const std::size_t slots = core_.sessLinkBegin_[i + 1] - base;
-    const std::size_t maxLevel = core_.sessionConfigs_[i].layers;
-    bool valid = true;  // refreshFrozen() ran at the epoch top
-    for (std::size_t at = posBegin_[i]; at < posBegin_[i + 1]; ++at) {
-      const std::size_t p = posList_[at];
-      const SpecPacket& sp = order[p];
-      const bool measuring = sp.time >= warmup;
-      const std::size_t layer = sp.layer;
-      bool anySubscribed = false;
-      for (std::size_t r = rb; r < re; ++r) {
-        const std::size_t lvl = core_.receivers_[r].level();
-        if (measuring) {
-          core_.levelIntegral_[r] += static_cast<double>(lvl);
-          ++core_.levelSamples_[r];
-        }
-        if (lvl >= layer) anySubscribed = true;
-      }
-      if (!valid) {
-        // Levels moved inside this epoch: the frozen prediction the
-        // ADMIT stage executed may no longer match the true touched
-        // set. Compare them; any mismatch poisons the epoch.
-        for (std::size_t r = rb; r < re; ++r) {
-          if (core_.receivers_[r].level() < layer) continue;
-          for (std::size_t s = recvSlotBegin_[r]; s < recvSlotBegin_[r + 1];
-               ++s) {
-            mark[recvSlot_[s]] = 1;
-          }
-        }
-        bool mismatch = false;
-        for (std::size_t s = 0; s < slots; ++s) {
-          const bool predicted = frozenMaxSlot_[base + s] >= layer;
-          if (predicted != (mark[s] != 0)) mismatch = true;
-          mark[s] = 0;
-        }
-        if (mismatch) {
-          frozenValid_[i] = 0;
-          diverged_.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-      if (!anySubscribed) continue;
-      for (std::size_t r = rb; r < re; ++r) {
-        LayeredReceiver& recv = core_.receivers_[r];
-        const std::size_t before = recv.level();
-        if (before < layer) continue;
-        bool lost = false;
-        for (std::size_t s = recvSlotBegin_[r]; s < recvSlotBegin_[r + 1];
-             ++s) {
-          if (dropByte_[dropOff_[p] + recvSlot_[s]]) {
-            lost = true;
-            break;
-          }
-        }
-        if (!lost) {
-          if (measuring) ++core_.delivered_[r];
-          if (core_.nBins_ > 0) {
-            ++core_.binDelivered_[r * core_.nBins_ + core_.binIndex(sp.time)];
-          }
-        }
-        const bool wasMax = before == maxLevel;
-        recv.onPacket(lost, sp.syncLevel, core_.receiverRng_[r]);
-        const std::size_t after = recv.level();
-        const bool isMax = after == maxLevel;
-        if (wasMax != isMax) {
-          // Partitioned-mode bookkeeping: per-session only (the live
-          // counter is frozen, exactly as in the component lanes).
-          if (isMax) {
-            --core_.nonAbsorbing_[i];
-          } else {
-            ++core_.nonAbsorbing_[i];
-          }
-        }
-        if (after != before) valid = false;
-      }
-    }
-    frozenValid_[i] = valid ? 1 : 0;
-  }
-}
-
-// A diverged epoch is abandoned wholesale: restore the pre-epoch
-// snapshot and replay the epoch's packets serially through
-// processPacketInto — literally the serial engines' per-packet path, in
-// the serial order (the sorted arena). Out-of-lifetime packets re-filter
-// inside processPacketInto, exactly as they do serially.
-void SpecEngine::rollbackEpoch() {
-  restoreSnapshot();
-  const std::vector<SpecPacket>& order = arena_[front_];
-  for (std::size_t p = 0; p < frontCount_; ++p) {
-    const SpecPacket& sp = order[p];
-    Packet pkt;
-    pkt.layer = sp.layer;
-    pkt.time = sp.time;
-    pkt.syncLevel = sp.syncLevel;
-    core_.processPacketInto(sp.session, pkt, core_.touched_);
-  }
-  std::fill(frozenValid_.begin(), frozenValid_.end(), 0);
-  diverged_.store(false, std::memory_order_relaxed);
-  ++rollbackCount_;
-}
-
-void SpecEngine::run() {
-  const std::size_t epochs = bounds_.size() - 1;
-  util::ShardFnRef genRef(genJob_);
-  util::ShardFnRef admitRef(admitJob_);
-  util::ShardFnRef recvRef(recvJob_);
-
-  // Epoch 0 has nothing to overlap with: generate and sort it directly.
-  prepareCounts(0);
-  front_ = 0;
-  genTarget_ = 0;
-  frontCount_ = pendingCount_;
-  pool_.forEachShard(sessShards_, genRef);
-  sortArena(front_, frontCount_);
-
-  for (std::size_t e = 0; e < epochs; ++e) {
-    // Shared-link state changes sit exactly on epoch boundaries: every
-    // fault at or before this epoch's start fires before any of its
-    // packets (all at or after the boundary) — the fault-before-packet
-    // order every serial driver implements.
-    while (core_.nextFaultTime() <= bounds_[e]) core_.applyNextFault();
-    refreshFrozen();
-    const bool haveNext = e + 1 < epochs;
-    std::size_t nextCount = 0;
-    if (haveNext) {
-      prepareCounts(e + 1);
-      nextCount = pendingCount_;
-      genTarget_ = front_ ^ 1;
-      pool_.beginShards(sessShards_, genRef);
-    }
-    takeSnapshot();
-    buildEpochIndex();
-    if (haveNext) pool_.finishShards();
-    pool_.beginShards(linkShards_, admitRef);
-    if (haveNext) sortArena(front_ ^ 1, nextCount);
-    pool_.finishShards();
-    pool_.forEachShard(sessShards_, recvRef);
-    ++epochCount_;
-    if (diverged_.load(std::memory_order_relaxed)) rollbackEpoch();
-    if (haveNext) {
-      front_ ^= 1;
-      frontCount_ = nextCount;
-    }
-  }
-}
-
-// Shared entry for the public driver and the parallel engine's dispatch.
-ClosedLoopResult runSpeculative(const net::Network& network,
-                                const ClosedLoopConfig& config,
-                                std::size_t threads) {
-  SimCore core(network, config);
-  core.enablePartitionedLanes();
-  SpecEngine engine(core, threads);
-  engine.run();
-  ClosedLoopResult result = core.finalize();
-  result.speculationEpochs = engine.epochs();
-  result.speculationRollbacks = engine.rollbacks();
-  return result;
-}
-
-// The parallel engine reroutes to the speculative engine when one
-// component holds at least half the population AND is large enough that
-// per-component lanes cannot win. The floor keeps small fixtures on the
-// lane path.
-constexpr std::size_t kSpeculationDispatchFloor = 256;
-
 // The event-driven merge shared by runClosedLoopSimulation and the fluid
 // engine: session i's earliest unprocessed packet lives in pending[i];
 // the queue orders the sessions by that packet's time (payload = session
@@ -2115,29 +1382,10 @@ std::size_t resolveEngineThreads(int engineThreads) {
 //      assignment of lanes to threads — yields the same accumulators.
 ClosedLoopResult runComponentParallel(const net::Network& network,
                                       const ClosedLoopConfig& config,
+                                      SessionPartitioner& partitioner,
                                       std::size_t threads) {
-  SessionPartitioner partitioner;
   const SessionPartition& part = partitioner.ensure(network);
   const std::size_t nComp = part.componentCount;
-
-  // Mega-merge dispatch: when one component dominates the session
-  // population, component lanes are Amdahl-bound (the big lane runs
-  // serially whatever the thread count) and the intra-component
-  // speculative engine takes over. speculationThreads == 0 disables the
-  // reroute; > 0 overrides the worker count.
-  const std::size_t specThreads =
-      config.speculationThreads > 0
-          ? static_cast<std::size_t>(config.speculationThreads)
-          : threads;
-  const std::size_t largest = part.largestComponentSessions();
-  if (config.speculationThreads != 0 && specThreads > 1 &&
-      largest >= kSpeculationDispatchFloor &&
-      largest * 2 >= network.sessionCount()) {
-    ClosedLoopResult result = runSpeculative(network, config, specThreads);
-    result.engineComponents = nComp;
-    result.partitionRebuilds = partitioner.rebuilds();
-    return result;
-  }
 
   SimCore core(network, config);
   core.enablePartitionedLanes();
@@ -2235,8 +1483,9 @@ ClosedLoopResult runComponentParallel(const net::Network& network,
       }
     }
   };
+  // One lane per executor at most: a single-component run spawns nothing.
   util::ShardFnRef ref(worker);
-  util::ThreadPool pool(threads);
+  util::ThreadPool pool(std::min<std::size_t>(threads, nComp));
   pool.forEachShard(nComp, ref);
 
   ClosedLoopResult result = core.finalize();
@@ -2245,39 +1494,57 @@ ClosedLoopResult runComponentParallel(const net::Network& network,
   return result;
 }
 
+// A link-set component this large that also holds at least half the
+// sessions runs batched, at every thread count. Below it the heap wins:
+// on the 11 small catalog presets (8-24 sessions) the per-window pass
+// over every sender plus the sort cost 1.04-2.5x the heap's O(log
+// sessions) pops, while at mega-merge scale (10k sessions) batching
+// takes 0.76x the heap's time.
+constexpr std::size_t kBatchedDispatchFloor = 256;
+
 }  // namespace
 
 ClosedLoopResult runClosedLoopSimulation(const net::Network& network,
                                          const ClosedLoopConfig& config) {
   // The fluid engine takes precedence: its analytic fast-forward needs
-  // the global absorbing gate the partitioned mode freezes, so the two
-  // accelerations do not compose (yet).
-  const std::size_t threads = resolveEngineThreads(config.engineThreads);
-  if (threads > 1 && !config.fluidFastForward) {
-    return runComponentParallel(network, config, threads);
+  // the heap merge's per-session lookahead and the global absorbing gate.
+  if (config.fluidFastForward) return runEventDriven(network, config, true);
+  SessionPartitioner partitioner;
+  const SessionPartition& part = partitioner.ensure(network);
+  const std::size_t largest = part.largestComponentSessions();
+  if (largest >= kBatchedDispatchFloor &&
+      largest * 2 >= network.sessionCount()) {
+    ClosedLoopResult result = runClosedLoopSimulationBatched(network, config);
+    result.engineComponents = part.componentCount;
+    result.partitionRebuilds = partitioner.rebuilds();
+    return result;
   }
-  return runEventDriven(network, config, config.fluidFastForward);
+  const std::size_t threads = resolveEngineThreads(config.engineThreads);
+  if (threads > 1) {
+    return runComponentParallel(network, config, partitioner, threads);
+  }
+  return runEventDriven(network, config, false);
 }
 
 ClosedLoopResult runClosedLoopSimulationParallel(
     const net::Network& network, const ClosedLoopConfig& config) {
-  return runComponentParallel(network, config,
+  SessionPartitioner partitioner;
+  return runComponentParallel(network, config, partitioner,
                               resolveEngineThreads(config.engineThreads));
+}
+
+ClosedLoopResult runClosedLoopSimulationBatched(
+    const net::Network& network, const ClosedLoopConfig& config) {
+  SimCore core(network, config);
+  const std::uint64_t windows = core.runBatched();
+  ClosedLoopResult result = core.finalize();
+  result.speculationEpochs = windows;
+  return result;
 }
 
 ClosedLoopResult runClosedLoopSimulationFluid(
     const net::Network& network, const ClosedLoopConfig& config) {
   return runEventDriven(network, config, true);
-}
-
-ClosedLoopResult runClosedLoopSimulationSpeculative(
-    const net::Network& network, const ClosedLoopConfig& config) {
-  const std::size_t threads =
-      config.speculationThreads >= 0
-          ? std::max<std::size_t>(
-                1, static_cast<std::size_t>(config.speculationThreads))
-          : resolveEngineThreads(-1);
-  return runSpeculative(network, config, threads);
 }
 
 ClosedLoopResult runClosedLoopSimulationReference(

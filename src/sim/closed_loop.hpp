@@ -23,45 +23,53 @@
 //    sets in the fairness model).
 //  * Joins/leaves take effect instantly (the paper's idealization).
 //
-// Four drivers share the per-packet machinery (token buckets, protocol
+// Five drivers share the per-packet machinery (token buckets, protocol
 // state machines, measurement accumulators, all held in one SoA SimCore)
 // and produce bit-identical trajectories on configurations where their
 // execution orders provably agree:
-//  * runClosedLoopSimulation — the event-driven session engine. Every
+//  * runClosedLoopSimulation — the default entry. It dispatches on one
+//    rule, at every thread count: fluid fast-forward on → the heap engine
+//    with the fluid mode armed; one link-set component holding at least
+//    half the sessions and at least 256 of them → the batched engine;
+//    more than one engine thread → component lanes; otherwise the heap
+//    engine. Every choice yields the same bits.
+//  * The heap engine (runClosedLoopSimulation's serial path). Every
 //    session keeps exactly one lookahead packet in a global
 //    sim::EventQueue, so advancing the simulation is one pop + one push:
-//    O(log sessions) per packet, independent of the population size.
-//    Steady-state operation allocates nothing. With
-//    ClosedLoopConfig::fluidFastForward it additionally runs the fluid
-//    engine below.
-//  * runClosedLoopSimulationFluid — the fluid fast-forward engine. It
-//    executes per-packet until the population reaches a provably steady
-//    regime (every live receiver absorbing, every link certified
-//    drop-free by a token-bucket arrival-curve bound, no exogenous
-//    loss), then advances every remaining packet in CLOSED FORM:
-//    per-stream packet counts over the lifetime/warmup/bin boundaries
-//    are computed analytically from the senders' exact emission-time
-//    formula, so the run costs O(state changes), not O(packets) — yet
-//    the result is bit-identical to the per-packet engines. Where the
-//    certificate cannot be established (endogenous congestion, bursty
-//    Gilbert-Elliott state, per-packet Bernoulli draws), it simply keeps
-//    executing per-packet, preserving exact per-packet parity and RNG
-//    draw counts.
+//    O(log sessions) per packet. Steady-state operation allocates
+//    nothing.
+//  * runClosedLoopSimulationFluid — the heap engine with the fluid
+//    fast-forward mode always armed. It executes per-packet until the
+//    population reaches a provably steady regime (every live receiver
+//    absorbing, every link certified drop-free by a token-bucket
+//    arrival-curve bound, no exogenous loss), then advances every
+//    remaining packet in CLOSED FORM: per-stream packet counts over the
+//    lifetime/warmup/bin boundaries are computed analytically from the
+//    senders' exact emission-time formula, so the run costs O(state
+//    changes), not O(packets) — yet the result is bit-identical to the
+//    per-packet engines. Where the certificate cannot be established
+//    (endogenous congestion, bursty Gilbert-Elliott state, per-packet
+//    Bernoulli draws), it simply keeps executing per-packet, preserving
+//    exact per-packet parity and RNG draw counts.
+//  * runClosedLoopSimulationBatched — the batched serial engine. Sender
+//    emission is closed form and independent of receiver state, so each
+//    window of simulated time is generated in one pass, sorted by
+//    (time, session, ord) — the heap's pop order — and run packet by
+//    packet. It wins on large single-component populations (the
+//    mega-merge shape), where the heap's log factor dominates.
+//  * runClosedLoopSimulationParallel — component lanes. Sessions are
+//    partitioned into link-set connected components (sim/partition.hpp);
+//    each component gets its own event queue and executes on a
+//    util::ThreadPool, touching only its own disjoint slice of the
+//    SimCore arrays. Because all coupling between sessions flows through
+//    shared links, and per-receiver/per-link RNG streams make every draw
+//    depend only on within-component order, the merged result is
+//    bit-identical to the heap engine at every thread count.
 //  * runClosedLoopSimulationReference — the original driver, which scans
 //    all sessions' lookahead packets per event: O(sessions) per packet.
 //    Retained as the oracle for the trajectory-parity tests and as the
 //    baseline the merge benchmarks measure against (the same role
 //    fairness::solveMaxMinFairReference plays for the solver).
-//  * runClosedLoopSimulationParallel — the component-parallel transient
-//    engine. Sessions are partitioned into link-set connected components
-//    (sim/partition.hpp); each component gets its own event queue and
-//    executes on the shared util::ThreadPool, touching only its own
-//    disjoint slice of the SimCore arrays. Because all coupling between
-//    sessions flows through shared links, and per-receiver/per-link RNG
-//    streams make every draw depend only on within-component order, the
-//    merged result is bit-identical to the serial event engine at every
-//    thread count (the parity fuzz suite pins this across topologies,
-//    mixes, loss models, and fault schedules).
 #pragma once
 
 #include <functional>
@@ -132,35 +140,14 @@ struct ClosedLoopConfig {
   /// Thread count for the component-parallel transient engine: sessions
   /// are partitioned into link-set connected components and executed
   /// concurrently with per-component event queues, bit-identical to the
-  /// serial event engine at every value (see
-  /// runClosedLoopSimulationParallel). 0/1 = serial; -1 (default) = the
-  /// MCFAIR_SIM_THREADS environment variable (unset/invalid = serial).
-  /// When fluidFastForward is also set, the fluid engine takes
-  /// precedence in runClosedLoopSimulation (the two modes cover
-  /// complementary regimes: fluid closes out steady populations in
-  /// closed form, the parallel engine shards the congested/transient
-  /// per-packet phases); call runClosedLoopSimulationParallel directly
-  /// to force the partitioned engine.
+  /// heap engine at every value (see runClosedLoopSimulationParallel).
+  /// 0/1 = serial; -1 (default) = the MCFAIR_SIM_THREADS environment
+  /// variable (unset/invalid = serial). The lane pool never has more
+  /// executors than there are components. runClosedLoopSimulation
+  /// ignores it when fluidFastForward is set or when one component
+  /// dominates the population (see the dispatch rule above); call
+  /// runClosedLoopSimulationParallel directly to force the lanes.
   int engineThreads = -1;
-  /// Thread count for the speculative intra-component engine
-  /// (runClosedLoopSimulationSpeculative): epochs of simulated time are
-  /// generated, admitted, and accounted by pool workers against a frozen
-  /// subscription snapshot, with divergent epochs rolled back and
-  /// replayed serially — bit-identical to the serial event engine at
-  /// every value. Also gates the parallel engine's dispatch: when one
-  /// link-set component dominates the session population (the mega-merge
-  /// shape, where per-component lanes cannot help),
-  /// runClosedLoopSimulationParallel reroutes here. 0 = never dispatch
-  /// speculatively (lanes only); -1 (default) = inherit the resolved
-  /// engineThreads / MCFAIR_SIM_THREADS count; >= 1 = that many workers.
-  int speculationThreads = -1;
-  /// Epoch-boundary density for the speculative engine: the run is split
-  /// at every shared-link state-change time (session start/stop, fault
-  /// application) plus this many uniform divisions of [0, duration].
-  /// 0 (default) = auto-size epochs toward a fixed packet budget per
-  /// reconciliation; larger values force more, shorter epochs (useful in
-  /// tests to exercise the rollback path).
-  std::size_t speculativeEpochs = 0;
   /// Optional exogenous per-link loss, layered on top of the endogenous
   /// token-bucket drops — the plumbing for sim/loss models (the paper's
   /// Section 4 Bernoulli process, or GilbertElliottLoss for bursty
@@ -232,32 +219,29 @@ struct ClosedLoopResult {
   double fluidTime = 0.0;
   std::uint64_t fluidPackets = 0;
   std::vector<FluidInterval> fluidIntervals;
-  /// Component-parallel engine diagnostics (0 for the other drivers):
-  /// the number of link-set connected components the sessions split
+  /// Partition diagnostics, set when the lanes run or when
+  /// runClosedLoopSimulation dispatches to the batched engine (0 for the
+  /// heap engines and the direct batched entry): the number of link-set connected components the sessions split
   /// into, and how many times the session partition was (re)built —
   /// exactly 1 per run, because packet steps, churn, and fault events
   /// never change which sessions share links (the zero-alloc suite pins
   /// this through a 64-flap fault schedule).
   std::size_t engineComponents = 0;
   std::uint64_t partitionRebuilds = 0;
-  /// Speculative engine diagnostics (0 for the other drivers):
-  /// speculationEpochs counts reconciliation intervals executed,
-  /// speculationRollbacks counts the ones whose speculative admit/drop
-  /// outcomes diverged from the frozen-subscription prediction and were
-  /// re-executed serially. Certified-steady populations (e.g. the
-  /// single-layer mega-merge preset, whose receivers provably never move)
-  /// roll back zero times — a contract the tests assert.
+  /// Batched engine diagnostics, kept under their historical names
+  /// because the end-to-end benchmark reads them: speculationEpochs counts
+  /// the windows the batched engine ran (0 for the other drivers — a
+  /// nonzero value proves the batched path ran), and
+  /// speculationRollbacks is always 0 (nothing is ever replayed).
   std::uint64_t speculationEpochs = 0;
   std::uint64_t speculationRollbacks = 0;
 };
 
-/// Runs the closed-loop experiment with the event-driven session engine
-/// (O(log sessions) packet merge). Link capacities of `network` are
+/// Runs the closed-loop experiment. Link capacities of `network` are
 /// interpreted in packets per time unit. Throws PreconditionError on
-/// inconsistent configuration. When ClosedLoopConfig::engineThreads
-/// resolves to more than one thread (and fluidFastForward is off), this
-/// dispatches to runClosedLoopSimulationParallel — bit-identical, just
-/// faster on multi-component workloads.
+/// inconsistent configuration. Dispatches to the heap (+ fluid), batched
+/// or component-lane engine by the rule in the header comment; the choice
+/// never changes the result, only the speed.
 ClosedLoopResult runClosedLoopSimulation(const net::Network& network,
                                          const ClosedLoopConfig& config);
 
@@ -266,8 +250,9 @@ ClosedLoopResult runClosedLoopSimulation(const net::Network& network,
 /// routed link union, cached on the network's structure identity), each
 /// component runs the event-driven per-packet loop on its own event
 /// queue over its own disjoint slice of the shared SoA state, and
-/// components execute concurrently on a util::ThreadPool sized by
-/// ClosedLoopConfig::engineThreads. Per-component queues preserve the
+/// components execute concurrently on a util::ThreadPool of
+/// min(ClosedLoopConfig::engineThreads, components) executors.
+/// Per-component queues preserve the
 /// serial pop order within every component (seeds enter in ascending
 /// session order, reschedules follow pops), faults apply per component
 /// strictly before any packet at or after their time, and all RNG
@@ -278,26 +263,15 @@ ClosedLoopResult runClosedLoopSimulation(const net::Network& network,
 ClosedLoopResult runClosedLoopSimulationParallel(
     const net::Network& network, const ClosedLoopConfig& config);
 
-/// The speculative intra-component engine: simulated time is split into
-/// epochs bounded by shared-link state-change events (session start/stop
-/// and fault times — the same horizons that clip the fluid engine's
-/// fast-forward), sender-side packet generation for the NEXT epoch runs
-/// on util::ThreadPool workers via the closed-form emission formula
-/// while the current epoch's admit loop is still in flight, token-bucket
-/// admits shard by link, and receiver accounting shards by session
-/// against a frozen snapshot of every receiver's subscription level.
-/// Reconciliation validates the speculative arrival curve of each bucket
-/// against the serial-order admit decisions: an epoch in which some
-/// receiver's level moved off its snapshot in a way that changes any
-/// packet's touched-link set is rolled back wholesale (receivers, RNG
-/// streams, buckets, loss state, and accumulators restored from the
-/// epoch-entry snapshot) and replayed serially in exact merge order, so
-/// the committed trajectory is bit-identical to the serial event engine
-/// at every thread count — the parity fuzz suite pins this across
-/// topologies, loss models, fault schedules, and 1/2/4/8 workers. The
-/// steady packet loop is allocation-free; every arena is sized up front
-/// from the closed-form per-epoch packet bounds.
-ClosedLoopResult runClosedLoopSimulationSpeculative(
+/// The batched serial engine, whatever the population shape: simulated
+/// time is cut into windows of a fixed packet budget over the
+/// population's aggregate rate; each window's packets are generated in
+/// closed form, sorted by (time, session, ord) — exactly the heap's pop
+/// order — and run through the shared per-packet path, with every fault
+/// applied before any packet at or after its time. Bit-identical to
+/// runClosedLoopSimulation; the window loop allocates nothing.
+/// ClosedLoopResult::speculationEpochs reports the window count.
+ClosedLoopResult runClosedLoopSimulationBatched(
     const net::Network& network, const ClosedLoopConfig& config);
 
 /// The event-driven engine with the fluid fast-forward mode always armed:

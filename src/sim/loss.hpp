@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -25,15 +24,6 @@ class LossModel {
 
   /// Long-run average loss probability of the model.
   virtual double averageLossRate() const noexcept = 0;
-
-  /// Serializes the model's mutable per-packet state into one word, and
-  /// restores it. Stateless models (Bernoulli) have nothing to save and
-  /// keep the defaults; GilbertElliottLoss encodes its Markov state.
-  /// The speculative engine uses this pair to snapshot exogenous-loss
-  /// state at an epoch boundary and restore it on rollback, so a
-  /// replayed epoch re-draws the exact serial sequence.
-  virtual std::uint64_t stateWord() const noexcept { return 0; }
-  virtual void setStateWord(std::uint64_t) noexcept {}
 };
 
 /// Independent loss with fixed probability p.
@@ -61,9 +51,6 @@ class GilbertElliottLoss final : public LossModel {
   double averageLossRate() const noexcept override;
 
   bool inBadState() const noexcept { return bad_; }
-
-  std::uint64_t stateWord() const noexcept override { return bad_ ? 1 : 0; }
-  void setStateWord(std::uint64_t w) noexcept override { bad_ = (w != 0); }
 
  private:
   double goodToBad_;

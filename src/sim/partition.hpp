@@ -54,11 +54,10 @@ struct SessionPartition {
             sessions.data() + sessionsBegin[comp + 1]};
   }
 
-  /// Session count of the most populous component (0 when empty). The
-  /// parallel engine's dispatch uses this to detect the mega-merge
-  /// shape: when one component dominates the population, per-component
-  /// lanes hit their Amdahl bound and the speculative intra-component
-  /// engine takes over.
+  /// Session count of the most populous component (0 when empty).
+  /// runClosedLoopSimulation uses it to detect the mega-merge shape: when
+  /// one large component dominates the population, per-component lanes
+  /// hit their Amdahl bound and the batched serial engine runs instead.
   std::size_t largestComponentSessions() const noexcept;
 };
 

@@ -287,8 +287,6 @@ Scenario buildScenario(const ScenarioSpec& spec) {
   s.config.rateBinWidth = spec.rateBinWidth;
   s.config.computeFairEpochs = spec.computeFairEpochs;
   s.config.engineThreads = spec.engineThreads;
-  s.config.speculationThreads = spec.speculationThreads;
-  s.config.speculativeEpochs = spec.speculativeEpochs;
   s.config.fluidFastForward = spec.fluidFastForward;
   s.config.seed = spec.seed;
   s.config.sessions.reserve(spec.sessions);

@@ -215,13 +215,6 @@ struct ScenarioSpec {
   /// Forwarded into ClosedLoopConfig::engineThreads: thread count for
   /// the component-parallel transient engine (-1 = MCFAIR_SIM_THREADS).
   int engineThreads = -1;
-  /// Forwarded into ClosedLoopConfig::speculationThreads: worker count
-  /// for the speculative intra-component engine (0 disables the
-  /// mega-merge dispatch, -1 inherits the resolved engine threads).
-  int speculationThreads = -1;
-  /// Forwarded into ClosedLoopConfig::speculativeEpochs: uniform epoch
-  /// divisions for the speculative engine (0 = auto-size).
-  std::size_t speculativeEpochs = 0;
   double rateBinWidth = 0.0;
   /// Forwarded into ClosedLoopConfig::fluidFastForward: lets a preset
   /// opt into the fluid fast-forward engine (analytic steady-interval

@@ -80,58 +80,6 @@ void ThreadPool::forEachShard(std::size_t shardCount, ShardFnRef fn) {
   }
 }
 
-void ThreadPool::beginShards(std::size_t shardCount, ShardFnRef fn) {
-  asyncJob_ = fn;
-  asyncShards_ = shardCount;
-  asyncActive_ = true;
-  // Small or serial jobs are parked instead of published: finishShards
-  // runs them inline, matching forEachShard's serial fast path (in
-  // particular, exceptions propagate immediately and in shard order).
-  asyncPublished_ = !(shardCount <= 1 || spawned_.empty());
-  if (!asyncPublished_) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &*asyncJob_;
-    shardCount_ = shardCount;
-    nextShard_.store(0, std::memory_order_relaxed);
-    pending_ = shardCount;
-    firstError_ = nullptr;
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  wake_.notify_all();
-}
-
-void ThreadPool::finishShards() {
-  if (!asyncActive_) return;
-  asyncActive_ = false;
-  if (!asyncPublished_) {
-    const ShardFnRef fn = *asyncJob_;
-    const std::size_t n = asyncShards_;
-    for (std::size_t s = 0; s < n; ++s) fn(s);
-    return;
-  }
-  // Join the published job exactly like forEachShard's calling thread:
-  // claim remaining shards, drain the barrier, rethrow the first error.
-  const ShardFnRef& fn = *asyncJob_;
-  std::size_t completed = 0;
-  for (;;) {
-    const std::size_t s = nextShard_.fetch_add(1, std::memory_order_relaxed);
-    if (s >= asyncShards_) break;
-    runShard(fn, s);
-    ++completed;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  pending_ -= completed;
-  done_.wait(lock, [this] { return pending_ == 0 && insideJob_ == 0; });
-  job_ = nullptr;
-  if (firstError_ != nullptr) {
-    std::exception_ptr error = firstError_;
-    firstError_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
 // Executes one shard, converting a throw into the recorded first error
 // (first in claim order wins deterministically enough for diagnostics;
 // the serial path rethrows the genuinely first one). A throwing shard
@@ -156,8 +104,7 @@ void ThreadPool::runShard(const ShardFnRef& fn, std::size_t shard) {
 void ThreadPool::workerLoop() {
   std::uint64_t seenGeneration = 0;
   for (;;) {
-    // Spin-then-block: between back-to-back jobs (the speculative engine
-    // submits its epoch stages in a row) the next generation usually lands
+    // Spin-then-block: between back-to-back jobs the next generation lands
     // within the spin budget, so the worker picks it up without paying
     // the condvar sleep/wake latency. The bound keeps an idle pool off
     // the CPU: after spinIterations_ polls the worker parks below, and

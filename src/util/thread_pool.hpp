@@ -1,6 +1,5 @@
 // Fixed-size worker pool for sharded parallel work: the component-
-// parallel closed-loop engine's lanes, the speculative engine's epoch
-// stages, and sim::SweepDriver's grid cells.
+// parallel closed-loop engine's lanes and sim::SweepDriver's grid cells.
 //
 // The pool is built once (spawning workerCount() - 1 threads; the caller
 // of forEachShard acts as the remaining executor) and reused across many
@@ -9,7 +8,7 @@
 // are claimed through an atomic counter, so which executor runs which
 // shard is nondeterministic — callers that need deterministic results
 // must make each shard's work depend only on its shard index (fixed data
-// ranges, per-shard scratch), which is how all three users above keep
+// ranges, per-shard scratch), which is how both users above keep
 // their results bit-identical to serial runs.
 //
 // The steady-state submit path performs no heap allocation: the callable
@@ -23,7 +22,6 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -53,12 +51,11 @@ class ShardFnRef {
 class ThreadPool {
  public:
   /// Bounded busy-wait iterations a worker performs on the submission
-  /// generation before falling back to the condition variable. The
-  /// speculative engine submits its epoch stages back to back, so the
-  /// next job usually arrives within the spin window and the worker
-  /// skips the sleep/wake round trip entirely; an idle pool still parks
-  /// on the condvar after the bound, so it never burns a core while the
-  /// caller does serial work.
+  /// generation before falling back to the condition variable. When a
+  /// caller submits jobs back to back, the next job usually arrives
+  /// within the spin window and the worker skips the sleep/wake round
+  /// trip entirely; an idle pool still parks on the condvar after the
+  /// bound, so it never burns a core while the caller does serial work.
   static constexpr std::size_t kDefaultSpin = 1 << 12;
 
   /// A pool with `workers` executors total. `workers <= 1` spawns no
@@ -84,22 +81,6 @@ class ThreadPool {
   /// first captured exception is rethrown here, after the completion
   /// barrier (the pool stays reusable).
   void forEachShard(std::size_t shardCount, ShardFnRef fn);
-
-  /// Pipelined submission: beginShards publishes the job to the spawned
-  /// workers and returns immediately WITHOUT the calling thread claiming
-  /// any shard, so the caller can overlap serial work (sorting the next
-  /// epoch, taking a snapshot) with the workers' progress. finishShards
-  /// then joins the claim loop, blocks on the completion barrier, and
-  /// rethrows the first captured shard exception — exactly
-  /// forEachShard's contract, split in two. The referenced callable and
-  /// its data must stay valid until finishShards returns. With no
-  /// spawned workers (workers <= 1) beginShards merely parks the job and
-  /// finishShards runs every shard inline in order, so pipelined callers
-  /// degrade gracefully to serial. At most one begun job may be
-  /// outstanding per pool; forEachShard must not be called between the
-  /// two (the job slot is single).
-  void beginShards(std::size_t shardCount, ShardFnRef fn);
-  void finishShards();
 
   /// Parses a thread-count environment variable (e.g. MCFAIR_SIM_THREADS).
   /// Unset, empty, non-numeric, or negative values yield `fallback`;
@@ -128,13 +109,6 @@ class ThreadPool {
   // bounded pre-sleep spin — hence atomics.
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<bool> stopping_{false};
-  // Pipelined-submission state (beginShards/finishShards). The callable
-  // is copied into asyncJob_ so the published job_ pointer stays valid
-  // after beginShards returns; only the caller thread touches these.
-  std::optional<ShardFnRef> asyncJob_;
-  std::size_t asyncShards_ = 0;
-  bool asyncActive_ = false;     // a begun job awaits finishShards
-  bool asyncPublished_ = false;  // workers saw it (vs. parked-for-inline)
 };
 
 }  // namespace mcfair::util

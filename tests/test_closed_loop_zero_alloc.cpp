@@ -368,42 +368,35 @@ TEST(ClosedLoopZeroAlloc, ParallelFaultApplicationAllocatesNothing) {
   EXPECT_GT(few, 0u);
 }
 
-// ---- speculative intra-component engine ----------------------------------
+// ---- batched serial engine -------------------------------------------------
 
-// The speculative engine's allocation contract: everything heap-side
-// happens in SpecEngine setup — epoch bounds, double-buffered packet
-// arenas, per-link position index, frozen-subscription tables, snapshot
-// twins, thread pool — and the epoch loop (generate, sort, admit,
-// receive, commit or rollback-and-replay) runs entirely on that
-// preallocated storage. With the epoch COUNT pinned via
-// speculativeEpochs, a 16x longer horizon only scales the arena capacity
-// (same number of allocation calls, bigger blocks), so the total
-// allocation-call count must be identical.
-std::size_t speculativeAllocationsForDuration(const net::Network& n,
-                                              double duration, int threads,
-                                              ProtocolKind protocol,
-                                              std::uint32_t layers,
-                                              std::uint64_t* rollbacks) {
+// The batched engine's allocation contract: its packet arena is sized
+// once from the closed-form per-window bound, and the window loop
+// (generate, sort, fault, per-packet) runs entirely on it. The window
+// width is a fixed packet budget over the aggregate rate, so a 16x
+// longer horizon runs more windows on an arena of the same size: the
+// allocation-call count must not change.
+std::size_t batchedAllocationsForDuration(const net::Network& n,
+                                          double duration,
+                                          std::uint64_t* windows) {
   ClosedLoopConfig c;
   c.sessions.assign(n.sessionCount(),
-                    ClosedLoopSessionConfig{protocol, layers, 1});
+                    ClosedLoopSessionConfig{ProtocolKind::kCoordinated, 5, 1});
   c.duration = duration;
   c.warmup = duration / 4.0;
   c.seed = 53;
-  c.speculationThreads = threads;
-  c.speculativeEpochs = 8;  // pin: auto-sizing would scale with duration
+  c.faults.events = {{50.0, net::FaultKind::kDegrade, graph::LinkId{1}, 0.5},
+                     {80.0, net::FaultKind::kLinkUp, graph::LinkId{1}}};
   const std::size_t before = g_allocations.load();
-  const auto r = runClosedLoopSimulationSpeculative(n, c);
+  const auto r = runClosedLoopSimulationBatched(n, c);
   const std::size_t after = g_allocations.load();
-  EXPECT_GE(r.speculationEpochs, 8u);
-  if (rollbacks != nullptr) *rollbacks = r.speculationRollbacks;
+  *windows = r.speculationEpochs;
   return after - before;
 }
 
-TEST(ClosedLoopZeroAlloc, SpeculativeEpochLoopAllocatesNothing) {
-  // Single-layer deterministic population: receiver levels never move,
-  // so every epoch's frozen prediction holds and every epoch commits.
-  // This is the pure speculate-and-commit steady state.
+TEST(ClosedLoopZeroAlloc, BatchedWindowLoopAllocatesNothing) {
+  // Multi-layer Coordinated receivers join and leave, and a degrade /
+  // repair pair reconfigures a tail mid-run: the loop's every branch.
   net::Network n;
   const auto shared = n.addLink(8.0);
   const auto tailA = n.addLink(2.0);
@@ -415,48 +408,16 @@ TEST(ClosedLoopZeroAlloc, SpeculativeEpochLoopAllocatesNothing) {
   n.addSession(std::move(s));
   n.addSession(net::makeUnicastSession({shared}));
 
-  for (const int threads : {1, 4}) {
-    (void)speculativeAllocationsForDuration(
-        n, 100.0, threads, ProtocolKind::kDeterministic, 1, nullptr);
-    std::uint64_t rollbacks = ~0ull;
-    const std::size_t shortRun = speculativeAllocationsForDuration(
-        n, 100.0, threads, ProtocolKind::kDeterministic, 1, &rollbacks);
-    EXPECT_EQ(rollbacks, 0u) << "single-layer populations cannot diverge";
-    const std::size_t longRun = speculativeAllocationsForDuration(
-        n, 1600.0, threads, ProtocolKind::kDeterministic, 1, nullptr);
-    EXPECT_EQ(shortRun, longRun)
-        << "speculative epoch loop must not allocate (T=" << threads << ")";
-    EXPECT_GT(shortRun, 0u);
-  }
-}
-
-TEST(ClosedLoopZeroAlloc, SpeculativeRollbackReplayAllocatesNothing) {
-  // Multi-layer coordinated receivers change levels, so epochs diverge
-  // and roll back: snapshot restore plus a serial replay through the
-  // allocation-free per-packet core. Both runs execute 8 epochs with a
-  // nonzero rollback count; equality proves the restore/replay path
-  // itself never touches the heap.
-  net::Network n;
-  const auto shared = n.addLink(8.0);
-  const auto tailA = n.addLink(2.0);
-  const auto tailB = n.addLink(6.0);
-  net::Session s;
-  s.type = net::SessionType::kMultiRate;
-  s.receivers = {net::makeReceiver({shared, tailA}),
-                 net::makeReceiver({shared, tailB})};
-  n.addSession(std::move(s));
-  n.addSession(net::makeUnicastSession({shared}));
-
-  (void)speculativeAllocationsForDuration(
-      n, 100.0, 4, ProtocolKind::kCoordinated, 5, nullptr);
-  std::uint64_t rollbacks = 0;
-  const std::size_t shortRun = speculativeAllocationsForDuration(
-      n, 100.0, 4, ProtocolKind::kCoordinated, 5, &rollbacks);
-  EXPECT_GT(rollbacks, 0u) << "this shape must exercise the rollback path";
-  const std::size_t longRun = speculativeAllocationsForDuration(
-      n, 1600.0, 4, ProtocolKind::kCoordinated, 5, nullptr);
-  EXPECT_EQ(shortRun, longRun)
-      << "rollback restore and replay must not allocate";
+  std::uint64_t shortWindows = 0;
+  std::uint64_t longWindows = 0;
+  (void)batchedAllocationsForDuration(n, 600.0, &shortWindows);
+  const std::size_t shortRun =
+      batchedAllocationsForDuration(n, 600.0, &shortWindows);
+  const std::size_t longRun =
+      batchedAllocationsForDuration(n, 9600.0, &longWindows);
+  EXPECT_EQ(shortWindows, 1u);
+  EXPECT_GE(longWindows, 2u) << "the long run must cross a window boundary";
+  EXPECT_EQ(shortRun, longRun) << "the batched window loop must not allocate";
   EXPECT_GT(shortRun, 0u);
 }
 

@@ -1,15 +1,13 @@
 // Randomized cross-engine parity fuzz: a seeded generator sweeps
 // topology family x protocol mix x loss model x fault preset x thread
 // count and asserts that all five closed-loop drivers — reference
-// linear-scan, event-driven, fluid fast-forward, component-parallel
-// (at 1/2/4/8 threads), and speculative intra-component (at 1/2/4/8
-// workers, with seed-varied epoch grains that force both committed and
-// rolled-back epochs) — produce EXACTLY the same results (EXPECT_EQ on
-// every trajectory field; fair epochs on a subset). The engines share
-// one per-packet core, so the fuzz surface is precisely the code that
-// differs: merge order, fluid certificates and hand-backs, session
-// partitioning, lane fault sub-schedules, per-lane scratch, and the
-// speculative epoch split / frozen-prediction / rollback machinery.
+// linear-scan, event-driven (heap), fluid fast-forward, component-parallel
+// (at 1/2/4/8 threads), and batched serial — produce EXACTLY the same
+// results (EXPECT_EQ on every trajectory field; fair epochs on a subset).
+// The engines share one per-packet core, so the fuzz surface is precisely
+// the code that differs: merge order, fluid certificates and hand-backs,
+// session partitioning, lane fault sub-schedules, per-lane scratch, and
+// the batched window generation, sort and per-packet fault rule.
 // Every case is a fixed function of its seed — a failure reproduces
 // from the seed printed in the assertion label.
 #include <gtest/gtest.h>
@@ -235,8 +233,6 @@ TEST(EngineParityFuzz, AllFiveEnginesAgreeAcrossTheGrid) {
   std::size_t multiComponent = 0;
   std::size_t withFaults = 0;
   std::size_t withLoss = 0;
-  std::size_t specMultiEpoch = 0;
-  std::size_t specRollbacks = 0;
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     const FuzzCase fc = buildCase(seed);
     if (!fc.config.faults.events.empty()) ++withFaults;
@@ -250,6 +246,11 @@ TEST(EngineParityFuzz, AllFiveEnginesAgreeAcrossTheGrid) {
                     fc.label + " [event]");
     expectIdentical(runClosedLoopSimulationFluid(fc.network, serial),
                     reference, fc.label + " [fluid]");
+    // Fifth column: the batched engine (serial, so no thread axis).
+    const auto batched = runClosedLoopSimulationBatched(fc.network, serial);
+    expectIdentical(batched, reference, fc.label + " [batched]");
+    EXPECT_GE(batched.speculationEpochs, 1u) << fc.label;
+    EXPECT_EQ(batched.speculationRollbacks, 0u) << fc.label;
     for (const int threads : {1, 2, 4, 8}) {
       ClosedLoopConfig pc = fc.config;
       pc.engineThreads = threads;
@@ -260,47 +261,26 @@ TEST(EngineParityFuzz, AllFiveEnginesAgreeAcrossTheGrid) {
                           "]");
       EXPECT_EQ(parallel.partitionRebuilds, 1u) << fc.label;
       if (threads == 8 && parallel.engineComponents > 1) ++multiComponent;
-
-      // Fifth column: the speculative engine at the same worker grid.
-      // The epoch grain rotates with the seed so single-epoch,
-      // multi-epoch, and rollback-heavy executions all appear.
-      ClosedLoopConfig sc = fc.config;
-      sc.speculationThreads = threads;
-      sc.speculativeEpochs = (seed % 3) * 8;  // 0 (auto), 8, or 16
-      const auto speculative =
-          runClosedLoopSimulationSpeculative(fc.network, sc);
-      expectIdentical(speculative, reference,
-                      fc.label + " [speculative T=" +
-                          std::to_string(threads) + "]");
-      if (threads == 8) {
-        if (speculative.speculationEpochs > 1) ++specMultiEpoch;
-        specRollbacks +=
-            static_cast<std::size_t>(speculative.speculationRollbacks);
-      }
     }
     if (HasFatalFailure()) break;  // one seed's dump is enough
   }
   // The grid must actually exercise the interesting axes, not dodge
-  // them: multi-component partitions, fault schedules, loss models,
-  // multi-epoch speculative runs, and speculative rollbacks all have to
-  // appear.
+  // them: multi-component partitions, fault schedules and loss models
+  // all have to appear.
   EXPECT_GE(multiComponent, 5u);
   EXPECT_GE(withFaults, 10u);
   EXPECT_GE(withLoss, 10u);
-  EXPECT_GE(specMultiEpoch, 10u);
-  EXPECT_GE(specRollbacks, 10u);
 }
 
 // Mega-merge-shaped cases: one component holding the whole population,
-// above the parallel engine's speculative dispatch floor. The parallel
-// column must reroute (speculationEpochs >= 1 proves it) and agree with
-// the reference; the direct speculative entry sweeps the worker grid.
-// Single-layer populations (the certified-steady shape) must commit
-// every epoch without a rollback; multi-layer mixes exercise divergence
-// under dispatch.
-TEST(EngineParityFuzz, SpeculativeMegaMergeDispatchAgrees) {
+// above the 256-session batched dispatch floor. The default entry must
+// dispatch to the batched engine at every thread count (speculationEpochs
+// >= 1 proves it) and agree with the reference; the direct batched entry
+// and the forced component lanes must agree too. Single-layer populations
+// are the catalog's mega-merge mix; multi-layer mixes add joins and
+// leaves inside the big component.
+TEST(EngineParityFuzz, MegaMergeBatchedDispatchAgrees) {
   std::size_t dispatched = 0;
-  std::size_t zeroRollbackRuns = 0;
   for (std::uint64_t seed = 101; seed <= 106; ++seed) {
     util::Rng rng(seed * 7919 + 3);
     ScenarioSpec spec;
@@ -313,8 +293,6 @@ TEST(EngineParityFuzz, SpeculativeMegaMergeDispatchAgrees) {
     spec.seed = seed;
     const bool multiLayer = seed % 2 == 0;
     if (!multiLayer) {
-      // The certified-steady shape: single-layer receivers never change
-      // level (the catalog's mega-merge mix).
       spec.mix = {SessionMix{{ProtocolKind::kDeterministic, 1, 1},
                              net::SessionType::kMultiRate, 1.0}};
     }
@@ -333,40 +311,28 @@ TEST(EngineParityFuzz, SpeculativeMegaMergeDispatchAgrees) {
     serial.engineThreads = 1;
     const auto reference =
         runClosedLoopSimulationReference(s.network, serial);
+    expectIdentical(runClosedLoopSimulationBatched(s.network, serial),
+                    reference, label + " [batched]");
     for (const int threads : {1, 2, 4, 8}) {
-      ClosedLoopConfig sc = s.config;
-      sc.speculationThreads = threads;
-      sc.speculativeEpochs = seed % 2 == 0 ? 4 : 0;
-      const auto speculative =
-          runClosedLoopSimulationSpeculative(s.network, sc);
-      expectIdentical(speculative, reference,
-                      label + " [speculative T=" + std::to_string(threads) +
-                          "]");
-      EXPECT_GE(speculative.speculationEpochs, 1u) << label;
-      if (!multiLayer) {
-        // Certified-steady population: single-layer receivers never
-        // change level, so the frozen prediction cannot diverge.
-        EXPECT_EQ(speculative.speculationRollbacks, 0u) << label;
-        ++zeroRollbackRuns;
-      }
-
-      ClosedLoopConfig pc = s.config;
-      pc.engineThreads = threads;
-      const auto parallel = runClosedLoopSimulationParallel(s.network, pc);
-      expectIdentical(parallel, reference,
+      ClosedLoopConfig c = s.config;
+      c.engineThreads = threads;
+      const auto dispatch = runClosedLoopSimulation(s.network, c);
+      expectIdentical(dispatch, reference,
                       label + " [dispatch T=" + std::to_string(threads) +
                           "]");
-      EXPECT_EQ(parallel.engineComponents, 1u) << label;
-      if (threads > 1) {
-        EXPECT_GE(parallel.speculationEpochs, 1u)
-            << label << " expected the mega-merge dispatch to engage";
-        ++dispatched;
-      }
+      EXPECT_EQ(dispatch.engineComponents, 1u) << label;
+      EXPECT_GE(dispatch.speculationEpochs, 1u)
+          << label << " expected the mega-merge dispatch to engage";
+      if (dispatch.speculationEpochs >= 1) ++dispatched;
+
+      const auto lanes = runClosedLoopSimulationParallel(s.network, c);
+      expectIdentical(lanes, reference,
+                      label + " [lanes T=" + std::to_string(threads) + "]");
+      EXPECT_EQ(lanes.speculationEpochs, 0u) << label;
     }
     if (HasFatalFailure()) break;
   }
-  EXPECT_GE(dispatched, 18u);      // 6 seeds x {2,4,8}
-  EXPECT_GE(zeroRollbackRuns, 12u);  // 3 single-layer seeds x 4 counts
+  EXPECT_EQ(dispatched, 24u);  // 6 seeds x {1,2,4,8}
 }
 
 }  // namespace

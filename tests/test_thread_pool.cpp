@@ -154,10 +154,10 @@ TEST(ThreadPool, NestedSubmitPropagatesInnerExceptions) {
 
 TEST(ShardFnRef, CopyOfLvalueRefersToTheSameCallable) {
   // Copying a non-const ShardFnRef lvalue must copy the reference it
-  // holds, not wrap the ShardFnRef object itself: beginShards stores its
-  // by-value argument this way, and a wrapper would dangle once that
-  // argument dies. Rebinding the source afterwards exposes the wrapper
-  // deterministically (it would follow `a` to fb).
+  // holds, not wrap the ShardFnRef object itself: a caller that stores a
+  // by-value ShardFnRef argument this way would otherwise keep a wrapper
+  // that dangles once that argument dies. Rebinding the source afterwards
+  // exposes the wrapper deterministically (it would follow `a` to fb).
   int ranA = 0;
   int ranB = 0;
   auto fa = [&](std::size_t) { ++ranA; };
